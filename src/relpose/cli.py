@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .bench import bench
 from .checks import check_jacobians
-from .runner import export_ground_truth, run_scenario, write_outputs
+from .runner import build_world, export_ground_truth, run_scenario, write_outputs
 from .scenario import ConfigError, load_config
 
 
@@ -68,11 +68,9 @@ def _cmd_export_gt(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.noise.seed = args.seed
-    cfg.estimator = "raw"  # ground truth only; skip estimation work
-    result = run_scenario(cfg)
     out = Path(args.out) if args.out else Path("out")
     out.mkdir(parents=True, exist_ok=True)
-    export_ground_truth(result, out)
+    export_ground_truth(build_world(cfg), cfg.duration, out)
     print(f"wrote ground truth CSVs to {out}")
     return 0
 

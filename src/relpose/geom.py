@@ -81,6 +81,7 @@ def rotvec_from_quat(q) -> np.ndarray:
 
 
 def rotmat_from_quat(q) -> np.ndarray:
+    """3x3 rotation of q; quaternion columns (4, n) give a (3, 3, n) stack."""
     w, x, y, z = q
     return np.array(
         [
@@ -89,6 +90,12 @@ def rotmat_from_quat(q) -> np.ndarray:
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+def rotmats_from_quats(q) -> np.ndarray:
+    """rotmat_from_quat of each row of q (n, 4), as a C-ordered (n, 3, 3) stack."""
+    R = rotmat_from_quat(np.asarray(q, dtype=float).T)
+    return np.ascontiguousarray(R.transpose(2, 0, 1))
 
 
 def quat_from_rotmat(R) -> np.ndarray:
@@ -248,7 +255,12 @@ def se3_exp(xi) -> Pose:
     return Pose(R, V @ rho)
 
 
-def rotation_angle_deg(R) -> float:
-    """Geodesic angle of a rotation matrix, degrees, in [0, 180]."""
-    c = (np.trace(R) - 1.0) / 2.0
-    return float(np.rad2deg(np.arccos(np.clip(c, -1.0, 1.0))))
+def rotation_angle_deg(R):
+    """Geodesic angle of a rotation matrix, degrees, in [0, 180].
+
+    A stack of matrices (n, 3, 3) gives an array of n angles.
+    """
+    R = np.asarray(R, dtype=float)
+    c = ((R[..., 0, 0] + R[..., 1, 1]) + R[..., 2, 2] - 1.0) / 2.0  # the trace, summed as np.trace
+    a = np.rad2deg(np.arccos(np.clip(c, -1.0, 1.0)))
+    return float(a) if a.ndim == 0 else a

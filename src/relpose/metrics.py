@@ -19,6 +19,17 @@ class InsufficientOverlap(ValueError):
 
 
 @dataclass
+class AlignedPair:
+    """Estimate and ground truth at the same instants, stacked row by row."""
+
+    t: np.ndarray  # (n,)
+    est_p: np.ndarray  # (n, 3)
+    est_R: np.ndarray  # (n, 3, 3)
+    gt_p: np.ndarray  # (n, 3)
+    gt_R: np.ndarray  # (n, 3, 3)
+
+
+@dataclass
 class TrajectoryPair:
     """Timestamp-associated estimate/ground-truth pose series."""
 
@@ -41,27 +52,57 @@ class TrajectoryPair:
             )
         return out
 
+    def aligned(self) -> AlignedPair:
+        t, est, gt = zip(*self.matched())
+        return AlignedPair(
+            np.array(t),
+            np.array([e.t for e in est]),
+            np.array([e.R for e in est]),
+            np.array([g.t for g in gt]),
+            np.array([g.R for g in gt]),
+        )
 
-def error_series(pair: TrajectoryPair) -> np.ndarray:
-    """Rows of (t, position error [m], rotation error [deg])."""
-    rows = []
-    for t, e, g in pair.matched():
-        dp = float(np.linalg.norm(e.t - g.t))
-        dr = rotation_angle_deg(g.R.T @ e.R)
-        rows.append((t, dp, dr))
-    return np.array(rows)
+
+def error_series(pair: TrajectoryPair | AlignedPair) -> np.ndarray:
+    """Rows of (t, position error [m], rotation error [deg]), in one batched pass.
+
+    The norm is a per-row dot product through matmul, which equals
+    ``np.linalg.norm`` of each row bit for bit.
+    """
+    a = pair.aligned() if isinstance(pair, TrajectoryPair) else pair
+    d = a.est_p - a.gt_p
+    dp = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+    dr = rotation_angle_deg(a.gt_R.transpose(0, 2, 1) @ a.est_R)
+    return np.column_stack((a.t, dp, dr))
 
 
-def ate_pos(pair: TrajectoryPair) -> float:
+def _rms(x: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(x ** 2)))
+
+
+def ate_pos(pair: TrajectoryPair | AlignedPair) -> float:
     """RMS of translational error norms, meters."""
-    s = error_series(pair)
-    return float(np.sqrt(np.mean(s[:, 1] ** 2)))
+    return _rms(error_series(pair)[:, 1])
 
 
-def ate_rot(pair: TrajectoryPair) -> float:
+def ate_rot(pair: TrajectoryPair | AlignedPair) -> float:
     """RMS of geodesic rotation angles, degrees."""
-    s = error_series(pair)
-    return float(np.sqrt(np.mean(s[:, 2] ** 2)))
+    return _rms(error_series(pair)[:, 2])
+
+
+def summarize(s: np.ndarray, boxplots: bool = False) -> dict:
+    """ATE, medians and sample count of one error series, plus boxplots on request."""
+    out = {
+        "ate_pos_m": _rms(s[:, 1]),
+        "ate_rot_deg": _rms(s[:, 2]),
+        "median_pos_m": float(np.median(s[:, 1])),
+        "median_rot_deg": float(np.median(s[:, 2])),
+    }
+    if boxplots:
+        out["boxplot_pos"] = boxplot_stats(s[:, 1])
+        out["boxplot_rot"] = boxplot_stats(s[:, 2])
+    out["n_samples"] = int(s.shape[0])
+    return out
 
 
 def boxplot_stats(values) -> dict:

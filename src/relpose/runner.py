@@ -20,7 +20,7 @@ from .camera import InvalidPixel, ds_unproject
 from .codec import SpotTracker
 from .eskf import FilterConfig, ImuPairInput, RelativePoseFilter
 from .geom import GimbalLock, Pose, quat_from_rotmat, rotmat_from_quat
-from .metrics import TrajectoryPair, ate_pos, ate_rot, boxplot_stats, error_series
+from .metrics import AlignedPair, error_series, summarize
 from .pgo import edges_from_filters, solve
 from .rawpose import MutualObservation, VerticalDegeneracy, raw_estimate
 from .scenario import ScenarioConfig
@@ -53,15 +53,14 @@ class RunResult:
     pgo_converged: list[bool]
     metrics: dict
 
-    def gt_pair(self, series: PoseSeries, observer: int, target: int) -> TrajectoryPair:
-        """Associate a recorded series with exact ground truth."""
-        gt = []
-        for t in series.t:
-            p, R = self.world.relative_truth(observer, target, t)
-            gt.append(Pose(R, p))
-        return TrajectoryPair(
-            est_t=np.array(series.t), est=series.poses, gt_t=np.array(series.t), gt=gt
-        )
+    def gt_pair(self, series: PoseSeries, observer: int, target: int) -> AlignedPair:
+        """A recorded series next to the exact ground truth at its ticks."""
+        grid = self.world.truth_grid(self.config.duration)
+        t = np.asarray(series.t, dtype=float)
+        gt_p, gt_R = grid.relative(observer, target, grid.ticks(t))
+        est_p = np.array([pose.t for pose in series.poses]).reshape(-1, 3)
+        est_R = np.array([pose.R for pose in series.poses]).reshape(-1, 3, 3)
+        return AlignedPair(t, est_p, est_R, gt_p, gt_R)
 
 
 def _pairs_for(cfg: ScenarioConfig) -> list[tuple[int, int]]:
@@ -78,11 +77,8 @@ def _pairs_for(cfg: ScenarioConfig) -> list[tuple[int, int]]:
     return out
 
 
-def run_scenario(
-    cfg: ScenarioConfig, filter_cfg: FilterConfig | None = None
-) -> RunResult:
-    """Simulate one scenario and run the configured estimator stack."""
-    world = World(
+def build_world(cfg: ScenarioConfig) -> World:
+    return World(
         robots={rid: (traj, led) for rid, traj, led in cfg.robots},
         noise=cfg.noise,
         intrinsics=cfg.camera,
@@ -91,6 +87,38 @@ def run_scenario(
         cam_rate=cfg.cam_rate,
         uwb_rate=cfg.uwb_rate,
     )
+
+
+def _resolve_bearings(cfg, tracker, led_to_robot, rid, t, detections) -> dict[int, np.ndarray]:
+    """Unit bearings by peer id to the peers a robot sees at t.
+
+    Oracle IDs take each detection's true peer. Decoded IDs take the decoded
+    tracks that saw a spot this frame; a track alive on a stale pixel gives none.
+    """
+    if cfg.id_mode == "oracle":
+        pixels = [(peer, px) for peer, px, _lit in detections]
+    else:
+        pixels = [
+            (led_to_robot.get(tr.decoded_id), tr.last_pixel)
+            for tr in tracker.tracks.values()
+            if tr.decoded_id is not None and tr.last_t == t
+        ]
+    out: dict[int, np.ndarray] = {}
+    for peer, px in pixels:
+        if peer is None or peer == rid:
+            continue
+        try:
+            out[peer] = ds_unproject(px, cfg.camera)
+        except InvalidPixel:
+            pass
+    return out
+
+
+def run_scenario(
+    cfg: ScenarioConfig, filter_cfg: FilterConfig | None = None
+) -> RunResult:
+    """Simulate one scenario and run the configured estimator stack."""
+    world = build_world(cfg)
     ids = sorted(world.robots)
     led_to_robot = {led: rid for rid, (_, led) in world.robots.items()}
     pairs = _pairs_for(cfg)
@@ -104,6 +132,7 @@ def run_scenario(
     neighbor_imu: dict[int, dict[int, tuple]] = {rid: {} for rid in ids}
     neighbor_cam: dict[int, dict[int, tuple]] = {rid: {} for rid in ids}
     last_uwb: dict[tuple[int, int], tuple[float, float]] = {}
+    bearings: dict[int, dict[int, np.ndarray]] = {}  # this camera frame's, by robot
     last_meas_t: dict[tuple[int, int], float] = {}
 
     raw_series = {pair: PoseSeries() for pair in pairs}
@@ -131,28 +160,12 @@ def run_scenario(
         if frame.has_cam:
             for rid in ids:
                 s = frame.robots[rid]
-                bearings: dict[int, np.ndarray] = {}
-                if cfg.id_mode == "oracle":
-                    for peer, px, _lit in s.detections:
-                        try:
-                            bearings[peer] = ds_unproject(px, cfg.camera)
-                        except InvalidPixel:
-                            pass
-                else:
-                    decoded = trackers[rid].step(
-                        t, [(px[0], px[1], lit) for _, px, lit in s.detections]
-                    )
-                    for led, track_id in decoded.items():
-                        peer = led_to_robot.get(led)
-                        if peer is None or peer == rid:
-                            continue
-                        try:
-                            bearings[peer] = ds_unproject(
-                                trackers[rid].tracks[track_id].last_pixel, cfg.camera
-                            )
-                        except InvalidPixel:
-                            pass
-                bus.publish(rid, t, ("cam", s.attitude_rp, bearings))
+                if cfg.id_mode == "codec":
+                    trackers[rid].step(t, [(px[0], px[1], lit) for _, px, lit in s.detections])
+                bearings[rid] = _resolve_bearings(
+                    cfg, trackers[rid], led_to_robot, rid, t, s.detections
+                )
+                bus.publish(rid, t, ("cam", s.attitude_rp, bearings[rid]))
 
         # -- deliver -------------------------------------------------------
         for rid in ids:
@@ -175,14 +188,11 @@ def run_scenario(
 
         if frame.has_cam:
             for (obs, tgt), f in filters.items():
-                mine = _own_bearings(
-                    cfg, world, trackers, led_to_robot, frame, obs
-                )
+                mine = bearings[obs]
                 theirs = neighbor_cam[obs].get(tgt)
                 rp_obs = frame.robots[obs].attitude_rp
                 if (
-                    mine is None
-                    or tgt not in mine
+                    tgt not in mine
                     or theirs is None
                     or abs(theirs[0] - t) > 0.010
                     or theirs[1] is None
@@ -245,72 +255,18 @@ def run_scenario(
     return result
 
 
-def _own_bearings(cfg, world, trackers, led_to_robot, frame, rid):
-    """Observer's current bearings by peer id (codec- or oracle-resolved)."""
-    s = frame.robots[rid]
-    out: dict[int, np.ndarray] = {}
-    if cfg.id_mode == "oracle":
-        for peer, px, _lit in s.detections:
-            try:
-                out[peer] = ds_unproject(px, cfg.camera)
-            except InvalidPixel:
-                pass
-        return out
-    tracker = trackers[rid]
-    for tid, tr in tracker.tracks.items():
-        if tr.decoded_id is None or tr.last_t != frame.t:
-            continue
-        peer = led_to_robot.get(tr.decoded_id)
-        if peer is None or peer == rid:
-            continue
-        try:
-            out[peer] = ds_unproject(tr.last_pixel, cfg.camera)
-        except InvalidPixel:
-            pass
-    return out
-
-
 def compute_metrics(result: RunResult) -> dict:
-    """ATE + median/boxplot stats for every recorded series."""
+    """ATE + median stats for every recorded series; boxplots for the filters."""
+    ego = result.config.ego
+    recorded = [("pairs", f"{o}-{g}", o, g, s) for (o, g), s in result.eskf.items()]
+    recorded += [("raw", f"{o}-{g}", o, g, s) for (o, g), s in result.raw.items()]
+    recorded += [("pgo", str(rid), ego, rid, s) for rid, s in result.pgo.items()]
     out: dict = {"pairs": {}, "pgo": {}}
-    for (obs, tgt), ser in result.eskf.items():
+    for group, key, obs, tgt, ser in recorded:
         if len(ser.t) < 2:
             continue
-        pair = result.gt_pair(ser, obs, tgt)
-        s = error_series(pair)
-        out["pairs"][f"{obs}-{tgt}"] = {
-            "ate_pos_m": ate_pos(pair),
-            "ate_rot_deg": ate_rot(pair),
-            "median_pos_m": float(np.median(s[:, 1])),
-            "median_rot_deg": float(np.median(s[:, 2])),
-            "boxplot_pos": boxplot_stats(s[:, 1]),
-            "boxplot_rot": boxplot_stats(s[:, 2]),
-            "n_samples": int(s.shape[0]),
-        }
-    for (obs, tgt), ser in result.raw.items():
-        if len(ser.t) < 2:
-            continue
-        pair = result.gt_pair(ser, obs, tgt)
-        s = error_series(pair)
-        out.setdefault("raw", {})[f"{obs}-{tgt}"] = {
-            "ate_pos_m": ate_pos(pair),
-            "ate_rot_deg": ate_rot(pair),
-            "median_pos_m": float(np.median(s[:, 1])),
-            "median_rot_deg": float(np.median(s[:, 2])),
-            "n_samples": int(s.shape[0]),
-        }
-    for rid, ser in result.pgo.items():
-        if len(ser.t) < 2:
-            continue
-        pair = result.gt_pair(ser, result.config.ego, rid)
-        s = error_series(pair)
-        out["pgo"][str(rid)] = {
-            "ate_pos_m": ate_pos(pair),
-            "ate_rot_deg": ate_rot(pair),
-            "median_pos_m": float(np.median(s[:, 1])),
-            "median_rot_deg": float(np.median(s[:, 2])),
-            "n_samples": int(s.shape[0]),
-        }
+        s = error_series(result.gt_pair(ser, obs, tgt))
+        out.setdefault(group, {})[key] = summarize(s, boxplots=group == "pairs")
     return out
 
 
@@ -325,20 +281,18 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def export_ground_truth(result: RunResult, out_dir: Path) -> None:
+def export_ground_truth(world: World, duration: float, out_dir: Path) -> None:
     """Per-robot world-frame ground truth at the camera rate (SI units)."""
-    cfg = result.config
-    n = int(round(cfg.duration * cfg.cam_rate))
-    ts = [k / cfg.cam_rate for k in range(n + 1)]
-    for rid in sorted(result.world.robots):
-        rows = []
-        for t in ts:
-            s = result.world.truth(rid, t)
-            rows.append((t, *s.p, *s.v, *s.q))
+    grid = world.truth_grid(duration)
+    n = int(round(duration * world.cam_rate))
+    ts = np.arange(n + 1) / world.cam_rate
+    k = grid.ticks(ts)
+    for rid in sorted(world.robots):
+        s = grid.states[rid]
         _write_csv(
             out_dir / f"gt_robot{rid}.csv",
             ["t_s", "px_m", "py_m", "pz_m", "vx_ms", "vy_ms", "vz_ms", "qw", "qx", "qy", "qz"],
-            rows,
+            np.column_stack((ts, s.p[k], s.v[k], s.q[k])),
         )
 
 
@@ -346,7 +300,7 @@ def write_outputs(result: RunResult, out_dir: str | Path, config_dict: dict | No
     """Write all artifact files: CSVs, metrics JSON, run manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    export_ground_truth(result, out)
+    export_ground_truth(result.world, result.config.duration, out)
     for (obs, tgt), ser in result.raw.items():
         rows = [
             (t, *p.t, *quat_from_rotmat(p.R)) for t, p in zip(ser.t, ser.poses)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .camera import DEFAULT_INTRINSICS, DsIntrinsics, OutOfImage, ds_project
 from .codec import IdLibrary, lit_at
-from .geom import GimbalLock, euler_zyx_from_quat, rotmat_from_quat
-from .trajectory import TrajectorySpec, eval_trajectory
+from .geom import GimbalLock, euler_zyx_from_quat, rotmat_from_quat, rotmats_from_quats
+from .trajectory import TrajectorySpec, TrajectoryState, eval_trajectory, eval_trajectory_array
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 UWB_MAX_RANGE = 500.0  # meters; beyond this the range sample is dropped
@@ -238,6 +238,37 @@ class RobotSensors:
     attitude_rp: tuple[float, float] | None = None
 
 
+def _relative_truth(obs: TrajectoryState, tgt: TrajectoryState) -> tuple[np.ndarray, np.ndarray]:
+    """p (n, 3) and R (n, 3, 3) of the target in the observer body frame, row by row.
+
+    Each row takes the same BLAS calls as ``Ro.T @ (pt - po)`` and
+    ``Ro.T @ Rt`` on one sample, so it equals them bit for bit.
+    """
+    Ro_T = rotmats_from_quats(obs.q).transpose(0, 2, 1)
+    return (Ro_T @ (tgt.p - obs.p)[:, :, None])[:, :, 0], Ro_T @ rotmats_from_quats(tgt.q)
+
+
+@dataclass
+class TruthGrid:
+    """Every robot's ground truth on the master tick grid t_k = k / rate, as arrays."""
+
+    rate: float
+    t: np.ndarray
+    states: dict[int, TrajectoryState]
+
+    def ticks(self, t) -> np.ndarray:
+        """Grid index of each time in t; ValueError for a time off the grid."""
+        t = np.asarray(t, dtype=float)
+        k = np.rint(t * self.rate).astype(np.intp)
+        if k.size and (k.min() < 0 or k.max() >= self.t.size or np.abs(self.t[k] - t).max() > 1e-9):
+            raise ValueError("times are not on the tick grid")
+        return k
+
+    def relative(self, observer: int, target: int, k) -> tuple[np.ndarray, np.ndarray]:
+        """Ground-truth p (n, 3) and R (n, 3, 3) of target in the observer body frame at ticks k."""
+        return _relative_truth(self.states[observer].at(k), self.states[target].at(k))
+
+
 @dataclass
 class SensorFrame:
     t: float
@@ -250,8 +281,9 @@ class SensorFrame:
 class World:
     """Steps the ground-truth world and synthesizes all sensor streams.
 
-    Rates must divide the camera rate's tick grid: the master clock runs at
-    the least common multiple of the configured rates.
+    The master clock runs at the fastest configured rate, and every rate
+    must divide it. Ground truth is evaluated once over the master tick grid
+    (`truth_grid`); frames and metrics index its rows.
     """
 
     def __init__(
@@ -272,9 +304,9 @@ class World:
         self.lib = lib if lib is not None else IdLibrary()
         self.imu_rate, self.cam_rate, self.uwb_rate = imu_rate, cam_rate, uwb_rate
         self._master_rate = max(imu_rate, cam_rate, uwb_rate)
-        for r in (imu_rate, uwb_rate):
+        for r in (imu_rate, cam_rate, uwb_rate):
             if abs(self._master_rate / r - round(self._master_rate / r)) > 1e-9:
-                raise ValueError("imu/uwb rates must divide the master (camera) rate")
+                raise ValueError("imu/cam/uwb rates must divide the master (fastest) rate")
         # one independent child stream per robot per sensor: stable under
         # changes in query order
         ss = np.random.SeedSequence(noise.seed)
@@ -284,31 +316,41 @@ class World:
         for i, rid in enumerate(ids):
             for j, sensor in enumerate(("imu", "uwb", "cam", "att")):
                 self._rng[(rid, sensor)] = np.random.default_rng(streams[4 * i + j])
+        self._grid: TruthGrid | None = None
+
+    def truth_grid(self, duration: float) -> TruthGrid:
+        """Truth of every robot on the master ticks of [0, duration], evaluated once."""
+        n = int(round(duration * self._master_rate))
+        if self._grid is None or self._grid.t.size != n + 1:
+            t = np.arange(n + 1) / self._master_rate
+            states = {rid: eval_trajectory_array(spec, t) for rid, (spec, _) in self.robots.items()}
+            self._grid = TruthGrid(self._master_rate, t, states)
+        return self._grid
 
     def truth(self, rid: int, t: float):
         return eval_trajectory(self.robots[rid][0], t)
 
     def relative_truth(self, observer: int, target: int, t: float):
-        """Ground-truth (p, R) of target in the observer body frame."""
-        so = self.truth(observer, t)
-        st = self.truth(target, t)
-        Ro = rotmat_from_quat(so.q)
-        Rt = rotmat_from_quat(st.q)
-        return Ro.T @ (st.p - so.p), Ro.T @ Rt
+        """Ground-truth (p, R) of target in the observer body frame at any time t."""
+        p, R = _relative_truth(
+            eval_trajectory_array(self.robots[observer][0], [t]),
+            eval_trajectory_array(self.robots[target][0], [t]),
+        )
+        return p[0], R[0]
 
     def frames(self, duration: float):
         """Yield SensorFrames on the shared clock for the given duration."""
-        n = int(round(duration * self._master_rate))
         imu_every = int(round(self._master_rate / self.imu_rate))
         uwb_every = int(round(self._master_rate / self.uwb_rate))
         cam_every = int(round(self._master_rate / self.cam_rate))
         ids = sorted(self.robots)
-        for k in range(n + 1):
+        grid = self.truth_grid(duration)
+        for k in range(grid.t.size):
             t = k / self._master_rate
             has_imu = k % imu_every == 0
             has_cam = k % cam_every == 0
             has_uwb = k % uwb_every == 0
-            states = {rid: self.truth(rid, t) for rid in ids}
+            states = {rid: grid.states[rid].at(k) for rid in ids}
             frame: dict[int, RobotSensors] = {}
             for rid in ids:
                 s = RobotSensors()

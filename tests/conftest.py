@@ -1,20 +1,11 @@
-"""Shared reporting for the acceptance suite.
+"""Echo the acceptance verdicts (see `acceptance_report`) in the terminal summary."""
 
-Each acceptance test registers exactly one PASS/FAIL line; the lines are
-echoed in the terminal summary so the verdicts survive output capture.
-"""
-
-_ACCEPTANCE_LINES: list[str] = []
-
-
-def record_criterion(name: str, passed: bool, detail: str) -> None:
-    verdict = "PASS" if passed else "FAIL"
-    _ACCEPTANCE_LINES.append(f"{verdict} {name}: {detail}")
+from acceptance_report import ACCEPTANCE_LINES
 
 
 def pytest_terminal_summary(terminalreporter):
-    if not _ACCEPTANCE_LINES:
+    if not ACCEPTANCE_LINES:
         return
     terminalreporter.section("acceptance criteria")
-    for line in _ACCEPTANCE_LINES:
+    for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from acceptance_report import record_criterion
 from relpose.bench import bench
 from relpose.checks import check_jacobians
 from relpose.eskf import FilterConfig, ImuPairInput, RelativePoseFilter

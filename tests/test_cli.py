@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import relpose
+import relpose.cli
 from relpose.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,6 +102,22 @@ def test_export_gt_subcommand(tmp_path, capsys):
     assert rc == 0
     assert (out / "gt_robot0.csv").exists()
     assert (out / "gt_robot1.csv").exists()
+
+
+def test_export_gt_writes_truth_without_running(tmp_path, monkeypatch):
+    cfg = write_small_scenario(tmp_path)
+    run_out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(run_out)]) == 0
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("export-gt must not run the estimators")
+
+    monkeypatch.setattr(relpose.cli, "run_scenario", no_run)
+    out = tmp_path / "gt"
+    assert main(["export-gt", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["gt_robot0.csv", "gt_robot1.csv"]
+    for name in ("gt_robot0.csv", "gt_robot1.csv"):
+        assert (out / name).read_bytes() == (run_out / name).read_bytes()
 
 
 def test_export_gt_invalid_config(tmp_path):

@@ -4,8 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relpose.runner import export_ground_truth, run_scenario, write_outputs
+import relpose.runner
+from relpose.runner import compute_metrics, export_ground_truth, run_scenario, write_outputs
 from relpose.scenario import config_from_dict
+from relpose.world import MessageBus, World
+from scalar_reference import compute_metrics_per_sample, error_series_per_sample
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -98,7 +101,7 @@ def test_write_outputs_files(tmp_path):
 
 def test_export_ground_truth_grid(tmp_path):
     res = run_scenario(small_config())
-    export_ground_truth(res, tmp_path)
+    export_ground_truth(res.world, res.config.duration, tmp_path)
     rows = (tmp_path / "gt_robot1.csv").read_text().splitlines()
     assert len(rows) == 1 + int(3.0 * 50) + 1  # header + samples on the cam grid
     first = rows[1].split(",")
@@ -146,3 +149,57 @@ def test_occlusion_blocks_pair():
     )
     res = run_scenario(cfg)
     assert len(res.raw[(0, 1)].t) == 0
+
+
+def test_metrics_equal_per_sample_reference(monkeypatch):
+    cfg = config_from_dict(json.loads((SCENARIOS / "four_robot_pgo.json").read_text()))
+    cfg.duration = 2.0
+    cfg.pairs = "all"
+    res = run_scenario(cfg)
+    assert {len(res.metrics[g]) for g in ("pairs", "raw", "pgo")} == {3, 6}
+    assert res.metrics == compute_metrics_per_sample(res)
+    recorded = [(o, g, s) for (o, g), s in res.eskf.items()] + [(o, g, s) for (o, g), s in res.raw.items()]
+    recorded += [(cfg.ego, rid, s) for rid, s in res.pgo.items()]
+    error_series = relpose.runner.error_series
+    for obs, tgt, ser in recorded:
+        got = error_series(res.gt_pair(ser, obs, tgt))
+        assert np.array_equal(got, error_series_per_sample(res, ser, obs, tgt))
+    calls = []
+
+    def counted(pair):
+        calls.append(pair)
+        return error_series(pair)
+
+    monkeypatch.setattr(relpose.runner, "error_series", counted)
+    assert compute_metrics(res) == res.metrics
+    assert len(calls) == 15  # one error series per recorded series
+
+
+def test_decoded_track_missing_a_frame_publishes_no_bearing(monkeypatch):
+    cfg = small_config(id_mode="codec", duration=1.0, rates={"imu": 200.0, "cam": 200.0, "uwb": 50.0})
+    t_miss = 0.6  # well after the first decode; the track outlives one missed frame
+    frames = World.frames
+
+    def drop_one_detection(self, duration):
+        for f in frames(self, duration):
+            if f.has_cam and abs(f.t - t_miss) < 1e-9:
+                f.robots[1].detections = []
+            yield f
+
+    published = []
+    publish = MessageBus.publish
+
+    def record(self, sender, t, payload):
+        if payload[0] == "cam":
+            published.append((sender, t, set(payload[2])))
+        publish(self, sender, t, payload)
+
+    monkeypatch.setattr(World, "frames", drop_one_detection)
+    monkeypatch.setattr(MessageBus, "publish", record)
+    res = run_scenario(cfg)
+    seen = {t: peers for sender, t, peers in published if sender == 1}
+    t_before, t_after = t_miss - 1 / 200.0, t_miss + 1 / 200.0
+    assert seen[t_before] == {0} and seen[t_after] == {0}
+    assert seen[t_miss] == set()
+    raw_t = res.raw[(0, 1)].t
+    assert t_before in raw_t and t_after in raw_t and t_miss not in raw_t

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from relpose.trajectory import (
     OutOfDomain,
     TrajectorySpec,
     eval_trajectory,
+    eval_trajectory_array,
 )
+from scalar_reference import eval_trajectory_scalar
 
 SPECS = [
     TrajectorySpec(kind="static", duration=10.0, center=(1.0, -2.0, 3.0)),
@@ -112,3 +116,44 @@ def test_yaw_ramp():
     att = AttitudeProfile(yaw_rate=0.5)
     assert att.angles(2.0)[2] == pytest.approx(1.0)
     assert att.rates(2.0)[2] == pytest.approx(0.5)
+
+
+# level, negative angles and rates, an aggressive sweep through zero, and
+# angles exactly zero or inside the first-order branch below 1e-8 rad
+ATTITUDES = [
+    AttitudeProfile(),
+    AttitudeProfile(rpy0=(-0.3, -0.1, -1.0), amp=(0.5, -0.4, 0.2), freq=(0.3, 0.2, 0.1),
+                    phase=(0.0, 1.0, -2.0), yaw_rate=-0.7),
+    AttitudeProfile(amp=(2.409, 1.518, 0.0), freq=(0.25, 0.2, 0.0), yaw_rate=0.314),
+    AttitudeProfile(rpy0=(3e-9, -5e-9, 0.0), yaw_rate=-1e-10),
+    AttitudeProfile(yaw_rate=-1.3),  # yaw alone, past 2 pi
+]
+
+
+@pytest.mark.parametrize("att", ATTITUDES, ids=["level", "negative", "sweep", "small", "spin"])
+@pytest.mark.parametrize("spec", SPECS, ids=[s.kind for s in SPECS])
+def test_array_evaluator_equals_scalar_reference(spec, att):
+    spec = replace(spec, attitude=att)
+    t = np.arange(2001) / 200.0  # includes t = 0, where every profile angle is its base
+    got = eval_trajectory_array(spec, t)
+    for k in range(0, t.size, 7):
+        want = eval_trajectory_scalar(spec, float(t[k]))
+        for name in ("p", "v", "a", "q", "w_body"):
+            g, w = getattr(got, name)[k], getattr(want, name)
+            assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w)), (name, t[k])
+
+
+def test_scalar_evaluator_is_one_row():
+    spec = replace(SPECS[2], attitude=ATTITUDES[1])
+    row = eval_trajectory(spec, 3.7)
+    want = eval_trajectory_scalar(spec, 3.7)
+    for name in ("p", "v", "a", "q", "w_body"):
+        assert np.array_equal(getattr(row, name), getattr(want, name))
+
+
+def test_array_out_of_domain():
+    with pytest.raises(OutOfDomain, match="-0.5"):
+        eval_trajectory_array(SPECS[0], np.array([0.0, -0.5, 1.0]))
+    with pytest.raises(OutOfDomain, match="10.5"):
+        eval_trajectory_array(SPECS[0], np.array([0.0, 10.0, 10.5]))
+    assert eval_trajectory_array(SPECS[0], np.array([0.0, 10.0])).p.shape == (2, 3)

@@ -129,6 +129,8 @@ def test_obstacle_validation():
 def test_world_rates_must_divide():
     with pytest.raises(ValueError):
         two_robot_world(imu_rate=30.0, cam_rate=100.0, uwb_rate=50.0)
+    with pytest.raises(ValueError):  # a camera slower than the IMU must divide it too
+        two_robot_world(imu_rate=200.0, cam_rate=75.0, uwb_rate=50.0)
 
 
 def test_frames_schedule():
