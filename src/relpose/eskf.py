@@ -18,20 +18,12 @@ the manifold).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import (
-    quat_conj,
-    quat_from_rotvec,
-    quat_mul,
-    quat_normalize,
-    rotmat_from_quat,
-    rotmat_from_rotvec,
-    rotvec_from_quat,
-    skew,
-)
+from .geom import rotmat_from_rotvec, skew
 from .rawpose import RawPoseMeasurement
 
 # chi^2 inverse CDF at 0.999 with 9 dof, for innovation gating
@@ -49,17 +41,11 @@ class NominalState:
     q: np.ndarray
     t: float = 0.0
 
-    def copy(self) -> "NominalState":
-        return NominalState(self.p.copy(), self.v.copy(), self.q.copy(), self.t)
-
 
 @dataclass
 class ErrorBelief:
     delta_mean: np.ndarray  # 12-vector, zero outside the update->reset window
     P: np.ndarray  # 12x12
-
-    def copy(self) -> "ErrorBelief":
-        return ErrorBelief(self.delta_mean.copy(), self.P.copy())
 
 
 @dataclass
@@ -116,85 +102,258 @@ def init_from_raw(z: RawPoseMeasurement, cfg: FilterConfig) -> tuple[NominalStat
     return state, ErrorBelief(np.zeros(12), cfg.init_P.copy())
 
 
+# -- float-level kernel ------------------------------------------------------
+# One filter step needs a few quaternion products and exponentials, the
+# rotation matrices they give and a few 3x3 products. On Python floats each
+# is a handful of multiplications, where every numpy call on a 3-vector
+# costs about a microsecond. Quaternions are (w, x, y, z) tuples and 3x3
+# matrices row-major 9-tuples; the 12x12 algebra stays in numpy.
+
+
+def _qexp(x: float, y: float, z: float) -> tuple:
+    """Unit quaternion of the rotation vector (x, y, z), first order below 1e-8 rad."""
+    a2 = x * x + y * y + z * z
+    a = math.sqrt(a2)
+    if a < 1e-8:
+        n = math.sqrt(1.0 + 0.25 * a2)
+        return (1.0 / n, 0.5 * x / n, 0.5 * y / n, 0.5 * z / n)
+    s = math.sin(0.5 * a) / a
+    return (math.cos(0.5 * a), s * x, s * y, s * z)
+
+
+def _qmul(a, b) -> tuple:
+    """Hamilton product a ⊗ b, not renormalized."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def _qunit(q) -> tuple:
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return (w / n, x / n, y / n, z / n)
+
+
+def _qconj(q) -> tuple:
+    return (q[0], -q[1], -q[2], -q[3])
+
+
+def _qsandwich(dq_b, q, dq_a) -> np.ndarray:
+    """dq_b^* ⊗ q ⊗ dq_a, renormalized, as an array."""
+    return np.array(_qunit(_qmul(_qmul(_qconj(dq_b), q), dq_a)))
+
+
+def _qlog(q) -> tuple:
+    """Rotation vector of a unit quaternion, short arc."""
+    w, x, y, z = q
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    s = math.sqrt(x * x + y * y + z * z)
+    if s < 1e-12:
+        return (2.0 * x, 2.0 * y, 2.0 * z)
+    k = 2.0 * math.atan2(s, min(w, 1.0)) / s
+    return (k * x, k * y, k * z)
+
+
+def _rot(q, transpose: bool = False) -> tuple:
+    """R{q} (or its transpose) of a unit quaternion."""
+    w, x, y, z = q
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    if transpose:
+        wx, wy, wz = -wx, -wy, -wz
+    return (
+        1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy),
+        2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx),
+        2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy),
+    )
+
+
+def _mat(A, B) -> tuple:
+    """A @ B."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = A
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = B
+    return (
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+    )
+
+
+def _vec(A, v) -> tuple:
+    """A @ v."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = A
+    x, y, z = v
+    return (a0 * x + a1 * y + a2 * z, a3 * x + a4 * y + a5 * z, a6 * x + a7 * y + a8 * z)
+
+
+def _mat_skew(A, v) -> tuple:
+    """A @ [v]x: each row of A crossed with v."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = A
+    x, y, z = v
+    return (
+        a1 * z - a2 * y, a2 * x - a0 * z, a0 * y - a1 * x,
+        a4 * z - a5 * y, a5 * x - a3 * z, a3 * y - a4 * x,
+        a7 * z - a8 * y, a8 * x - a6 * z, a6 * y - a7 * x,
+    )
+
+
+def _skew(v) -> tuple:
+    x, y, z = v
+    return (0.0, -z, y, z, 0.0, -x, -y, x, 0.0)
+
+
+def _eye_minus_half_skew(x: float, y: float, z: float) -> tuple:
+    """I - [(x, y, z) / 2]x."""
+    x, y, z = 0.5 * x, 0.5 * y, 0.5 * z
+    return (1.0, z, -y, -z, 1.0, x, y, -x, 1.0)
+
+
+def _scaled(A, s: float) -> tuple:
+    return tuple(a * s for a in A)
+
+
+def _blocks(ncols: int, at) -> np.ndarray:
+    """Flat indices, block by block and row-major inside each, of the 3x3
+    blocks at (block row, block column) of a matrix with ncols columns."""
+    return np.array(
+        [(3 * r + i) * ncols + 3 * c + j for r, c in at for i in range(3) for j in range(3)]
+    )
+
+
+# -- propagation --------------------------------------------------------------
+
+# F = [Fx | Fi], 12 x 24, in the order `_linearize` lists the blocks
+_F_BLOCKS = _blocks(
+    24, [(0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 2), (3, 3), (1, 4), (2, 5), (1, 6), (3, 7)]
+)
+
+
+def _linearize(state: NominalState, u: ImuPairInput) -> tuple:
+    """The rotations of one IMU step and the Jacobians built from them.
+
+    Returns (dq_a, dq_b, Rq, Rb_T, F) with dq_a = Exp(w_mA dt),
+    dq_b = Exp(w_mB dt), Rq = R{q} and Rb_T = R{dq_b}^T as tuples, and
+    F = [Fx | Fi] (12x24): the error-state transition and the Jacobian of the
+    input noise [a_nA, w_nA, a_nB, w_nB]. Block structure after Solà,
+    "Quaternion kinematics for the error-state Kalman filter"
+    (arXiv:1711.02508), sections 5 and 7.
+    """
+    dt = u.dt
+    wx, wy, wz = u.w_ma.tolist()
+    dq_a = _qexp(wx * dt, wy * dt, wz * dt)
+    wx, wy, wz = u.w_mb.tolist()
+    dq_b = _qexp(wx * dt, wy * dt, wz * dt)
+    Rq = _rot(state.q.tolist())
+    Rb_T = _rot(dq_b, transpose=True)
+    Rb_T_dt = _scaled(Rb_T, dt)
+    C = _mat(Rb_T_dt, Rq)
+    ax, ay, az = u.a_ma.tolist()
+    m_dt = (-dt, 0.0, 0.0, 0.0, -dt, 0.0, 0.0, 0.0, -dt)
+    F = np.zeros((12, 24))
+    F.flat[_F_BLOCKS] = (
+        Rb_T + Rb_T_dt  # dp row
+        + Rb_T + _mat_skew(C, (-ax, -ay, -az)) + _mat_skew(Rb_T_dt, u.a_mb.tolist())  # dv row
+        + _rot(dq_a, transpose=True)  # dth_A
+        + Rb_T  # dth_B
+        + _scaled(C, -1.0)  # accel noise of A
+        + m_dt  # gyro noise of A
+        + Rb_T_dt  # accel noise of B
+        + m_dt  # gyro noise of B
+    )
+    return dq_a, dq_b, Rq, Rb_T, F
+
+
 def predict(
     state: NominalState, belief: ErrorBelief, u: ImuPairInput, cfg: FilterConfig
 ) -> tuple[NominalState, ErrorBelief]:
     """Propagate nominal state and error covariance over one IMU interval."""
     dt = u.dt
-    Rq = rotmat_from_quat(state.q)
-    rel_acc = Rq @ u.a_ma - u.a_mb
-    Rb_T = rotmat_from_rotvec(u.w_mb * dt).T
-
-    p = Rb_T @ (state.p + state.v * dt + 0.5 * rel_acc * dt * dt)
-    v = Rb_T @ (state.v + rel_acc * dt)
-    q = quat_mul(
-        quat_mul(quat_conj(quat_from_rotvec(u.w_mb * dt)), state.q),
-        quat_from_rotvec(u.w_ma * dt),
+    dq_a, dq_b, Rq, Rb_T, F = _linearize(state, u)
+    ax, ay, az = _vec(Rq, u.a_ma.tolist())
+    bx, by, bz = u.a_mb.tolist()
+    ax, ay, az = ax - bx, ay - by, az - bz  # relative acceleration
+    px, py, pz = state.p.tolist()
+    vx, vy, vz = state.v.tolist()
+    h = 0.5 * dt * dt
+    p = _vec(Rb_T, (px + vx * dt + ax * h, py + vy * dt + ay * h, pz + vz * dt + az * h))
+    v = _vec(Rb_T, (vx + ax * dt, vy + ay * dt, vz + az * dt))
+    q = _qsandwich(dq_b, state.q.tolist(), dq_a)
+    PQ = np.zeros((24, 24))
+    PQ[:12, :12] = belief.P
+    PQ[12:, 12:] = cfg.Qi
+    P = F @ PQ @ F.T  # Fx P Fx' + Fi Qi Fi'
+    delta = F[:, :12] @ belief.delta_mean  # zero in steady operation
+    return (
+        NominalState(np.array(p), np.array(v), q, state.t + dt),
+        ErrorBelief(delta, 0.5 * (P + P.T)),
     )
 
-    Fx = compute_Fx(state, u, dt)
-    Fi = compute_Fi(state, u, dt)
-    delta = Fx @ belief.delta_mean  # zero in steady operation
-    P = Fx @ belief.P @ Fx.T + Fi @ cfg.Qi @ Fi.T
-    P = 0.5 * (P + P.T)
-    return NominalState(p, v, quat_normalize(q), state.t + dt), ErrorBelief(delta, P)
+
+def compute_Fx(state: NominalState, u: ImuPairInput) -> np.ndarray:
+    """Discrete error-state transition Jacobian, as `predict` propagates with."""
+    return _linearize(state, u)[4][:, :12]
 
 
-def compute_Fx(state: NominalState, u: ImuPairInput, dt: float) -> np.ndarray:
-    """Discrete error-state transition Jacobian."""
-    Rq = rotmat_from_quat(state.q)
-    Ra_T = rotmat_from_rotvec(u.w_ma * dt).T
-    Rb_T = rotmat_from_rotvec(u.w_mb * dt).T
-    F = np.zeros((12, 12))
-    F[0:3, 0:3] = Rb_T
-    F[0:3, 3:6] = Rb_T * dt
-    F[3:6, 3:6] = Rb_T
-    F[3:6, 6:9] = -Rb_T @ Rq @ skew(u.a_ma) * dt
-    F[3:6, 9:12] = Rb_T @ skew(u.a_mb) * dt
-    F[6:9, 6:9] = Ra_T
-    F[9:12, 9:12] = Rb_T
-    return F
+def compute_Fi(state: NominalState, u: ImuPairInput) -> np.ndarray:
+    """Jacobian w.r.t. the input noise [a_nA, w_nA, a_nB, w_nB], as `predict` uses."""
+    return _linearize(state, u)[4][:, 12:]
 
 
-def compute_Fi(state: NominalState, u: ImuPairInput, dt: float) -> np.ndarray:
-    """Jacobian w.r.t. the input noise [a_nA, w_nA, a_nB, w_nB]."""
-    Rq = rotmat_from_quat(state.q)
-    Rb_T = rotmat_from_rotvec(u.w_mb * dt).T
-    Fi = np.zeros((12, 12))
-    Fi[3:6, 0:3] = -Rb_T @ Rq * dt  # accel noise of A
-    Fi[6:9, 3:6] = -np.eye(3) * dt  # gyro noise of A
-    Fi[3:6, 6:9] = Rb_T * dt  # accel noise of B
-    Fi[9:12, 9:12] = -np.eye(3) * dt  # gyro noise of B
-    return Fi
+# -- correction ---------------------------------------------------------------
+
+_H_BLOCKS = _blocks(12, [(0, 0), (0, 3), (1, 0), (1, 2), (2, 2), (2, 3)])
+_I3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
-def measurement_fn(state: NominalState) -> np.ndarray:
-    """h(x) for the 6 position components (rotation residual is zero at x)."""
-    Rq = rotmat_from_quat(state.q)
-    return np.concatenate([state.p, -Rq.T @ state.p])
+def _measurement_jacobian(p, Rq_T, Rq_T_p) -> np.ndarray:
+    neg_Rq_T = _scaled(Rq_T, -1.0)
+    H = np.zeros((9, 12))
+    H.flat[_H_BLOCKS] = (
+        # p_BA: p_t = R{dth_B}^T (p + dp) ~ p + dp + [p]x dth_B
+        _I3 + _skew(p)
+        # p_AB: -R{q_t}^T p_t ~ -R^T p - R^T dp - [R^T p]x dth_A
+        + neg_Rq_T + _skew([-c for c in Rq_T_p])
+        # rotation residual rotvec(q^-1 ⊗ q_t) ~ dth_A - R^T dth_B
+        + _I3 + neg_Rq_T
+    )
+    return H
+
+
+def _model(state: NominalState) -> tuple:
+    """q, p, R{q}^T and R{q}^T p of the nominal state, as tuples."""
+    q = state.q.tolist()
+    p = state.p.tolist()
+    Rq_T = _rot(q, transpose=True)
+    return q, p, Rq_T, _vec(Rq_T, p)
 
 
 def compute_H(state: NominalState) -> np.ndarray:
     """9x12 measurement Jacobian w.r.t. the error state at delta = 0."""
-    Rq = rotmat_from_quat(state.q)
-    H = np.zeros((9, 12))
-    # p_BA block: p_t = R{dth_B}^T (p + dp) ~ p + dp + [p]x dth_B
-    H[0:3, 0:3] = np.eye(3)
-    H[0:3, 9:12] = skew(state.p)
-    # p_AB block: -R{q_t}^T p_t ~ -R^T p - R^T dp - [R^T p]x dth_A
-    H[3:6, 0:3] = -Rq.T
-    H[3:6, 6:9] = -skew(Rq.T @ state.p)
-    # rotation residual rotvec(q^-1 ⊗ q_t) ~ dth_A - R^T dth_B
-    H[6:9, 6:9] = np.eye(3)
-    H[6:9, 9:12] = -Rq.T
-    return H
+    _, p, Rq_T, Rq_T_p = _model(state)
+    return _measurement_jacobian(p, Rq_T, Rq_T_p)
+
+
+def _innovation(q, p, Rq_T_p, z: RawPoseMeasurement) -> np.ndarray:
+    b0, b1, b2 = z.p_ba.tolist()
+    a0, a1, a2 = z.p_ab.tolist()
+    rot = _qlog(_qunit(_qmul(_qconj(q), z.q_ba.tolist())))
+    return np.array(
+        (b0 - p[0], b1 - p[1], b2 - p[2],
+         a0 + Rq_T_p[0], a1 + Rq_T_p[1], a2 + Rq_T_p[2], *rot)
+    )
 
 
 def innovation(state: NominalState, z: RawPoseMeasurement) -> np.ndarray:
     """9-vector residual z ⊖ h(x): positions subtract, rotations compose."""
-    Rq = rotmat_from_quat(state.q)
-    rot_res = rotvec_from_quat(quat_mul(quat_conj(state.q), z.q_ba))
-    return np.concatenate([z.p_ba - state.p, z.p_ab - (-Rq.T @ state.p), rot_res])
+    q, p, _, Rq_T_p = _model(state)
+    return _innovation(q, p, Rq_T_p, z)
 
 
 def update(
@@ -205,32 +364,62 @@ def update(
     Raises SingularInnovation when HPH'+V is not invertible. Returns the
     input belief unchanged when the innovation fails the chi-square gate.
     """
-    H = compute_H(state)
-    V = cfg.V
+    q, p, Rq_T, Rq_T_p = _model(state)
+    H = _measurement_jacobian(p, Rq_T, Rq_T_p)
+    y = _innovation(q, p, Rq_T_p, z)
+    HP = H @ belief.P
+    S = HP @ H.T
     if cfg.range_scaled_V:
-        V = V.copy()
-        sp2 = max(0.05, 0.02 * float(np.linalg.norm(z.p_ba))) ** 2
-        V[0:6, 0:6] = np.eye(6) * sp2
-    S = H @ belief.P @ H.T + V
-    y = innovation(state, z)
+        # V with its position block replaced by sp^2 I, added block by block
+        x, yy, zz = z.p_ba.tolist()
+        S.flat[0:60:10] += max(0.05, 0.02 * math.sqrt(x * x + yy * yy + zz * zz)) ** 2
+        S[0:6, 6:9] += cfg.V[0:6, 6:9]
+        S[6:9] += cfg.V[6:9]
+    else:
+        S += cfg.V
     try:
-        Sinv_y = np.linalg.solve(S, y)
-        Sinv_Ht = np.linalg.solve(S, H @ belief.P)
+        # one factorization of S for both S^-1 y and S^-1 HP
+        X = np.linalg.solve(S, np.column_stack((y, HP)))
     except np.linalg.LinAlgError as e:
         raise SingularInnovation(str(e)) from e
-    if cfg.gate_chi2 is not None and float(y @ Sinv_y) > cfg.gate_chi2:
+    if cfg.gate_chi2 is not None and float(y @ X[:, 0]) > cfg.gate_chi2:
         return belief
-    K = Sinv_Ht.T  # = P H' S^-1
-    delta = K @ y
-    P = (np.eye(12) - K @ H) @ belief.P
-    P = 0.5 * (P + P.T)
-    return ErrorBelief(delta, P)
+    K = X[:, 1:].T  # = P H' S^-1
+    P = belief.P - K @ HP
+    return ErrorBelief(K @ y, 0.5 * (P + P.T))
+
+
+# -- injection and reset ------------------------------------------------------
+
+_G_BLOCKS = _blocks(12, [(0, 0), (1, 1), (2, 2), (3, 3)])
+
+
+def _inject(state: NominalState, d: np.ndarray) -> tuple[NominalState, list, tuple]:
+    """x ⊕ d, with d as a list and the R{dth_B}^T it applied."""
+    d = d.tolist()
+    dq_b = _qexp(*d[9:12])
+    Rb_T = _rot(dq_b, transpose=True)
+    px, py, pz = state.p.tolist()
+    vx, vy, vz = state.v.tolist()
+    p = _vec(Rb_T, (px + d[0], py + d[1], pz + d[2]))
+    v = _vec(Rb_T, (vx + d[3], vy + d[4], vz + d[5]))
+    q = _qsandwich(dq_b, state.q.tolist(), _qexp(*d[6:9]))
+    return NominalState(np.array(p), np.array(v), q, state.t), d, Rb_T
+
+
+def _reset_jacobian(d: list, Rb_T: tuple) -> np.ndarray:
+    """Block-diagonal G: Rb_T, Rb_T, I - [dth_A/2]x, I - [dth_B/2]x."""
+    G = np.zeros((12, 12))
+    G.flat[_G_BLOCKS] = (
+        Rb_T + Rb_T + _eye_minus_half_skew(*d[6:9]) + _eye_minus_half_skew(*d[9:12])
+    )
+    return G
 
 
 def inject_and_reset(state: NominalState, belief: ErrorBelief) -> tuple[NominalState, ErrorBelief]:
     """Fold delta_mean into the nominal state, then zero it and remap P."""
-    new_state = true_state(state, belief)
-    G = reset_jacobian(belief.delta_mean)
+    new_state, d, Rb_T = _inject(state, belief.delta_mean)
+    G = _reset_jacobian(d, Rb_T)
     P = G @ belief.P @ G.T
     return new_state, ErrorBelief(np.zeros(12), 0.5 * (P + P.T))
 
@@ -248,26 +437,14 @@ def reset_map(delta: np.ndarray, delta_hat: np.ndarray) -> np.ndarray:
 
 
 def reset_jacobian(delta_hat: np.ndarray) -> np.ndarray:
-    """Jacobian of reset_map w.r.t. delta; identity at delta_hat = 0."""
-    Rb_T = rotmat_from_rotvec(delta_hat[9:12]).T
-    G = np.zeros((12, 12))
-    G[0:3, 0:3] = Rb_T
-    G[3:6, 3:6] = Rb_T
-    G[6:9, 6:9] = np.eye(3) - skew(0.5 * delta_hat[6:9])
-    G[9:12, 9:12] = np.eye(3) - skew(0.5 * delta_hat[9:12])
-    return G
+    """Jacobian of reset_map w.r.t. delta, as `inject_and_reset` remaps P with."""
+    d = delta_hat.tolist()
+    return _reset_jacobian(d, _rot(_qexp(*d[9:12]), transpose=True))
 
 
 def true_state(state: NominalState, belief: ErrorBelief) -> NominalState:
     """x ⊕ delta_mean without mutating the filter."""
-    d = belief.delta_mean
-    Rb_T = rotmat_from_rotvec(d[9:12]).T
-    p = Rb_T @ (state.p + d[0:3])
-    v = Rb_T @ (state.v + d[3:6])
-    q = quat_mul(
-        quat_mul(quat_conj(quat_from_rotvec(d[9:12])), state.q), quat_from_rotvec(d[6:9])
-    )
-    return NominalState(p, v, quat_normalize(q), state.t)
+    return _inject(state, belief.delta_mean)[0]
 
 
 class RelativePoseFilter:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import Pose, se3_exp
+from .geom import Pose
 
 # SE(3) right-perturbation generators: d/deps Exp(eps e_k) at 0, 4x4
 _GEN = np.zeros((6, 4, 4))
@@ -23,6 +23,10 @@ for _k in range(3):
 _GEN[3, 2, 1], _GEN[3, 1, 2] = 1.0, -1.0  # rot x
 _GEN[4, 0, 2], _GEN[4, 2, 0] = 1.0, -1.0  # rot y
 _GEN[5, 1, 0], _GEN[5, 0, 1] = 1.0, -1.0  # rot z
+_SKEW = _GEN[3:, :3, :3].reshape(3, 9)  # [v]x = v @ _SKEW
+_EYE3 = np.eye(3)
+_DIAG4 = np.arange(4)
+_SMALL_ANGLE = (1.0, 0.5, 0.5, 0.0)  # the se3_exp coefficients below 1e-8 rad
 
 
 @dataclass
@@ -78,10 +82,90 @@ def residual(X_i: Pose, X_j: Pose, T_hat_ij: Pose) -> float:
     return float(np.sum(E * E))
 
 
-def _huber_weight(r2: float, delta: float) -> float:
-    """IRLS weight for rho(r2) = r2 if sqrt(r2)<=delta else 2 d sqrt(r2)-d^2."""
-    s = np.sqrt(max(r2, 1e-300))
-    return 1.0 if s <= delta else delta / s
+# -- stacked edges --------------------------------------------------------------
+# The solver keeps the nodes as one (n, 4, 4) stack of homogeneous matrices
+# and the edges as index arrays into it, so that every residual, Jacobian and
+# trial cost of an iteration is a handful of batched array operations.
+
+
+@dataclass
+class _Edges:
+    ii: np.ndarray  # (E,) node slot of X_i
+    jj: np.ndarray  # (E,) node slot of X_j
+    T_hat: np.ndarray  # (E, 4, 4)
+    weight: np.ndarray  # (E,)
+
+
+def _stack(poses) -> np.ndarray:
+    """(n, 4, 4) homogeneous matrices of a sequence of poses."""
+    T = np.zeros((len(poses), 4, 4))
+    T[:, :3, :3] = [p.R for p in poses]
+    T[:, :3, 3] = [p.t for p in poses]
+    T[:, 3, 3] = 1.0
+    return T
+
+
+def _inverse(T: np.ndarray) -> np.ndarray:
+    R_T = T[:, :3, :3].transpose(0, 2, 1)
+    T_inv = np.zeros_like(T)
+    T_inv[:, :3, :3] = R_T
+    T_inv[:, :3, 3] = -(R_T @ T[:, :3, 3:])[:, :, 0]
+    T_inv[:, 3, 3] = 1.0
+    return T_inv
+
+
+def _residuals(T: np.ndarray, edges: _Edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """N = X_j^-1 X_i, E = T_hat N - I and the weighted r2 of every edge."""
+    N = _inverse(T)[edges.jj] @ T[edges.ii]
+    E = edges.T_hat @ N
+    E[:, _DIAG4, _DIAG4] -= 1.0
+    r2 = edges.weight * np.einsum("eab,eab->e", E, E)
+    return N, E, r2
+
+
+def _robust_cost(r2: np.ndarray, delta: float) -> float:
+    """Sum of Huber(r2): r2 inside delta, 2 delta sqrt(r2) - delta^2 outside."""
+    s = np.sqrt(np.maximum(r2, 0.0))
+    return float(np.where(s <= delta, r2, 2.0 * delta * s - delta * delta).sum())
+
+
+def _se3_exp(xi: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) homogeneous matrices of `geom.se3_exp` of each row of xi (n, 6).
+
+    With K = [theta / a]x and a = |theta|: R = I + sin(a) K + (1 - cos a) K^2
+    and t = (I + (1 - cos a)/a K + (a - sin a)/a K^2) rho. Below 1e-8 rad,
+    K = [theta]x and both maps are taken to first order, as `geom` does.
+    """
+    n = len(xi)
+    theta = xi[:, 3:]
+    a = np.sqrt(np.einsum("ij,ij->i", theta, theta))
+    small = a < 1e-8
+    a[small] = 1.0
+    K = ((theta / a[:, None]) @ _SKEW).reshape(n, 3, 3)
+    sin, one_cos = np.sin(a), 1.0 - np.cos(a)
+    coef = np.stack((sin, one_cos, one_cos / a, (a - sin) / a), axis=1)
+    coef[small] = _SMALL_ANGLE
+    # [R - I; V - I] = coef (2x2) @ [K; K^2], row by row
+    KK = np.stack((K, K @ K), axis=1).reshape(n, 2, 9)
+    RV = (coef.reshape(n, 2, 2) @ KK).reshape(n, 2, 3, 3) + _EYE3
+    out = np.zeros((n, 4, 4))
+    out[:, :3, :3] = RV[:, 0]
+    out[:, :3, 3] = (RV[:, 1] @ xi[:, :3, None])[:, :, 0]
+    out[:, 3, 3] = 1.0
+    return out
+
+
+def _retract(T: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """X Exp(step) for every node, its rotation re-orthonormalized by SVD."""
+    out = T @ _se3_exp(step)
+    u, _, vt = np.linalg.svd(out[:, :3, :3])
+    R = u @ vt
+    flip = np.linalg.det(R) < 0
+    if flip.any():
+        u[flip, :, 2] *= -1.0
+        R[flip] = u[flip] @ vt[flip]
+    out[:, :3, :3] = R
+    return out
 
 
 def solve(
@@ -97,57 +181,47 @@ def solve(
     reachable = graph.connected_nodes()
     excluded = sorted(set(graph.nodes) - reachable)
     free = sorted(n for n in reachable if n != graph.ego)
-    poses = {n: Pose(graph.nodes[n].R.copy(), graph.nodes[n].t.copy()) for n in reachable}
-    poses[graph.ego] = Pose.identity()
-    edges = [e for e in graph.edges if e.i in reachable and e.j in reachable]
-    if not free or not edges:
+    edge_list = [e for e in graph.edges if e.i in reachable and e.j in reachable]
+    if not free or not edge_list:
+        poses = {n: Pose(graph.nodes[n].R.copy(), graph.nodes[n].t.copy()) for n in reachable}
+        poses[graph.ego] = Pose.identity()
         return poses, SolveReport(0.0, 0.0, 0, True, excluded)
 
-    idx = {n: k for k, n in enumerate(free)}
-    n_params = 6 * len(free)
+    # slots 0..n-1 hold the free nodes, slot n the ego
+    n = len(free)
+    slot = {node: k for k, node in enumerate(free)}
+    slot[graph.ego] = n
+    T = _stack([graph.nodes[node] for node in free] + [Pose.identity()])
+    edges = _Edges(
+        ii=np.array([slot[e.i] for e in edge_list]),
+        jj=np.array([slot[e.j] for e in edge_list]),
+        T_hat=_stack([e.T_hat for e in edge_list]),
+        weight=np.array([e.weight for e in edge_list], dtype=float),
+    )
+    rows = np.arange(len(edge_list))
+    delta = graph.huber_delta
 
-    def robust_cost(ps: dict[int, Pose]) -> float:
-        c = 0.0
-        for e in edges:
-            r2 = e.weight * residual(ps[e.i], ps[e.j], e.T_hat)
-            s = np.sqrt(max(r2, 0.0))
-            d = graph.huber_delta
-            c += r2 if s <= d else 2.0 * d * s - d * d
-        return c
-
-    cost = robust_cost(poses)
+    N, E, r2 = _residuals(T, edges)
+    cost = _robust_cost(r2, delta)
     initial_cost = cost
     lam = 1e-6
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        # build normal equations with analytic Jacobians + IRLS Huber weights
-        JtJ = np.zeros((n_params, n_params))
-        Jtr = np.zeros(n_params)
-        for e in edges:
-            Ti = poses[e.i].matrix()
-            Tj_inv = poses[e.j].inverse().matrix()
-            Th = e.T_hat.matrix()
-            M = Th @ Tj_inv @ Ti
-            E = M - np.eye(4)
-            r2 = e.weight * float(np.sum(E * E))
-            w = e.weight * _huber_weight(r2, graph.huber_delta)
-            r = E.reshape(-1)
-            blocks: list[tuple[int, np.ndarray]] = []
-            if e.i != graph.ego:
-                # X_i <- X_i Exp(eps): dE = M G_k
-                Ji = np.stack([(M @ _GEN[k]).reshape(-1) for k in range(6)], axis=1)
-                blocks.append((idx[e.i], Ji))
-            if e.j != graph.ego:
-                # X_j <- X_j Exp(eps): dE = -Th G_k Tj_inv Ti
-                Jj = np.stack(
-                    [(-Th @ _GEN[k] @ Tj_inv @ Ti).reshape(-1) for k in range(6)], axis=1
-                )
-                blocks.append((idx[e.j], Jj))
-            for bi, Jb in blocks:
-                Jtr[6 * bi : 6 * bi + 6] += w * (Jb.T @ r)
-                for bj, Jb2 in blocks:
-                    JtJ[6 * bi : 6 * bi + 6, 6 * bj : 6 * bj + 6] += w * (Jb.T @ Jb2)
+        # analytic Jacobians of every edge w.r.t. X_i <- X_i Exp(eps) and
+        # X_j <- X_j Exp(eps): dE = M G_k and dE = -T_hat G_k N, M = T_hat N
+        M = E.copy()
+        M[:, _DIAG4, _DIAG4] += 1.0
+        J = np.zeros((n + 1, 6, len(edge_list), 16))
+        J[edges.ii, :, rows] = (M[:, None] @ _GEN).reshape(-1, 6, 16)
+        J[edges.jj, :, rows] = -(edges.T_hat[:, None] @ _GEN @ N[:, None]).reshape(-1, 6, 16)
+        J = J[:n].reshape(6 * n, -1)  # one row per parameter; the ego slot has none
+        # IRLS Huber weights, one per residual entry
+        s = np.sqrt(np.maximum(r2, 1e-300))
+        w = np.repeat(edges.weight * np.where(s <= delta, 1.0, delta / s), 16)
+        Jw = J * w
+        JtJ = Jw @ J.T
+        Jtr = Jw @ E.reshape(-1)
 
         accepted = False
         for _ in range(12):
@@ -157,13 +231,12 @@ def solve(
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            trial = dict(poses)
-            for n in free:
-                k = idx[n]
-                trial[n] = poses[n].compose(se3_exp(step[6 * k : 6 * k + 6])).orthonormalized()
-            trial_cost = robust_cost(trial)
+            trial = T.copy()
+            trial[:n] = _retract(T[:n], step.reshape(n, 6))
+            trial_N, trial_E, trial_r2 = _residuals(trial, edges)
+            trial_cost = _robust_cost(trial_r2, delta)
             if trial_cost < cost:
-                poses = trial
+                T, N, E, r2 = trial, trial_N, trial_E, trial_r2
                 lam = max(lam * 0.3, 1e-12)
                 accepted = True
                 improvement = cost - trial_cost
@@ -177,6 +250,10 @@ def solve(
             converged = True
             break
 
+    poses = {
+        node: Pose(T[slot[node], :3, :3], T[slot[node], :3, 3]) for node in reachable
+    }
+    poses[graph.ego] = Pose.identity()
     return poses, SolveReport(initial_cost, cost, it, converged, excluded)
 
 

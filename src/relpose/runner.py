@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .camera import InvalidPixel, ds_unproject
 from .codec import SpotTracker
-from .eskf import FilterConfig, ImuPairInput, RelativePoseFilter
+from .eskf import FilterConfig, ImuPairInput, RelativePoseFilter, SingularInnovation
 from .geom import GimbalLock, Pose, quat_from_rotmat, rotmat_from_quat
 from .metrics import AlignedPair, error_series, summarize
 from .pgo import edges_from_filters, solve
@@ -219,8 +219,12 @@ def run_scenario(
                         if z is not None:
                             raw_series[(obs, tgt)].add(t, rotmat_from_quat(z.q_ba), z.p_ba)
                             if run_eskf:
-                                f.process_measurement(z)
-                                last_meas_t[(obs, tgt)] = t
+                                try:
+                                    f.process_measurement(z)
+                                except SingularInnovation:
+                                    pass  # skip this update; the filter keeps its prior
+                                else:
+                                    last_meas_t[(obs, tgt)] = t
                 if run_eskf and f.initialized:
                     st = f.state
                     ser = eskf_series[(obs, tgt)]

@@ -1,0 +1,228 @@
+"""The filter step and the pose-graph solve as they were first written.
+
+`predict`, `update`, `inject_and_reset` and `solve` build every rotation
+through the `geom` helpers, assemble the filter Jacobians block by block and
+linearize each pose-graph edge in its own Python loop. They are the reference
+that the structured code in `relpose.eskf` and `relpose.pgo` must match.
+"""
+
+import numpy as np
+
+from relpose.eskf import ErrorBelief, NominalState, SingularInnovation
+from relpose.geom import (
+    Pose,
+    quat_conj,
+    quat_from_rotvec,
+    quat_mul,
+    quat_normalize,
+    rotmat_from_quat,
+    rotmat_from_rotvec,
+    rotvec_from_quat,
+    se3_exp,
+    skew,
+)
+from relpose.pgo import _GEN, SolveReport, residual
+
+
+def compute_Fx(state, u, dt):
+    Rq = rotmat_from_quat(state.q)
+    Ra_T = rotmat_from_rotvec(u.w_ma * dt).T
+    Rb_T = rotmat_from_rotvec(u.w_mb * dt).T
+    F = np.zeros((12, 12))
+    F[0:3, 0:3] = Rb_T
+    F[0:3, 3:6] = Rb_T * dt
+    F[3:6, 3:6] = Rb_T
+    F[3:6, 6:9] = -Rb_T @ Rq @ skew(u.a_ma) * dt
+    F[3:6, 9:12] = Rb_T @ skew(u.a_mb) * dt
+    F[6:9, 6:9] = Ra_T
+    F[9:12, 9:12] = Rb_T
+    return F
+
+
+def compute_Fi(state, u, dt):
+    Rq = rotmat_from_quat(state.q)
+    Rb_T = rotmat_from_rotvec(u.w_mb * dt).T
+    Fi = np.zeros((12, 12))
+    Fi[3:6, 0:3] = -Rb_T @ Rq * dt
+    Fi[6:9, 3:6] = -np.eye(3) * dt
+    Fi[3:6, 6:9] = Rb_T * dt
+    Fi[9:12, 9:12] = -np.eye(3) * dt
+    return Fi
+
+
+def predict(state, belief, u, cfg):
+    dt = u.dt
+    Rq = rotmat_from_quat(state.q)
+    rel_acc = Rq @ u.a_ma - u.a_mb
+    Rb_T = rotmat_from_rotvec(u.w_mb * dt).T
+    p = Rb_T @ (state.p + state.v * dt + 0.5 * rel_acc * dt * dt)
+    v = Rb_T @ (state.v + rel_acc * dt)
+    q = quat_mul(
+        quat_mul(quat_conj(quat_from_rotvec(u.w_mb * dt)), state.q),
+        quat_from_rotvec(u.w_ma * dt),
+    )
+    Fx = compute_Fx(state, u, dt)
+    Fi = compute_Fi(state, u, dt)
+    delta = Fx @ belief.delta_mean
+    P = Fx @ belief.P @ Fx.T + Fi @ cfg.Qi @ Fi.T
+    P = 0.5 * (P + P.T)
+    return NominalState(p, v, quat_normalize(q), state.t + dt), ErrorBelief(delta, P)
+
+
+def compute_H(state):
+    Rq = rotmat_from_quat(state.q)
+    H = np.zeros((9, 12))
+    H[0:3, 0:3] = np.eye(3)
+    H[0:3, 9:12] = skew(state.p)
+    H[3:6, 0:3] = -Rq.T
+    H[3:6, 6:9] = -skew(Rq.T @ state.p)
+    H[6:9, 6:9] = np.eye(3)
+    H[6:9, 9:12] = -Rq.T
+    return H
+
+
+def innovation(state, z):
+    Rq = rotmat_from_quat(state.q)
+    rot_res = rotvec_from_quat(quat_mul(quat_conj(state.q), z.q_ba))
+    return np.concatenate([z.p_ba - state.p, z.p_ab - (-Rq.T @ state.p), rot_res])
+
+
+def update(state, belief, z, cfg):
+    H = compute_H(state)
+    V = cfg.V
+    if cfg.range_scaled_V:
+        V = V.copy()
+        sp2 = max(0.05, 0.02 * float(np.linalg.norm(z.p_ba))) ** 2
+        V[0:6, 0:6] = np.eye(6) * sp2
+    S = H @ belief.P @ H.T + V
+    y = innovation(state, z)
+    try:
+        Sinv_y = np.linalg.solve(S, y)
+        Sinv_Ht = np.linalg.solve(S, H @ belief.P)
+    except np.linalg.LinAlgError as e:
+        raise SingularInnovation(str(e)) from e
+    if cfg.gate_chi2 is not None and float(y @ Sinv_y) > cfg.gate_chi2:
+        return belief
+    K = Sinv_Ht.T
+    delta = K @ y
+    P = (np.eye(12) - K @ H) @ belief.P
+    P = 0.5 * (P + P.T)
+    return ErrorBelief(delta, P)
+
+
+def reset_jacobian(delta_hat):
+    Rb_T = rotmat_from_rotvec(delta_hat[9:12]).T
+    G = np.zeros((12, 12))
+    G[0:3, 0:3] = Rb_T
+    G[3:6, 3:6] = Rb_T
+    G[6:9, 6:9] = np.eye(3) - skew(0.5 * delta_hat[6:9])
+    G[9:12, 9:12] = np.eye(3) - skew(0.5 * delta_hat[9:12])
+    return G
+
+
+def true_state(state, belief):
+    d = belief.delta_mean
+    Rb_T = rotmat_from_rotvec(d[9:12]).T
+    p = Rb_T @ (state.p + d[0:3])
+    v = Rb_T @ (state.v + d[3:6])
+    q = quat_mul(
+        quat_mul(quat_conj(quat_from_rotvec(d[9:12])), state.q), quat_from_rotvec(d[6:9])
+    )
+    return NominalState(p, v, quat_normalize(q), state.t)
+
+
+def inject_and_reset(state, belief):
+    new_state = true_state(state, belief)
+    G = reset_jacobian(belief.delta_mean)
+    P = G @ belief.P @ G.T
+    return new_state, ErrorBelief(np.zeros(12), 0.5 * (P + P.T))
+
+
+def _huber_weight(r2, delta):
+    s = np.sqrt(max(r2, 1e-300))
+    return 1.0 if s <= delta else delta / s
+
+
+def robust_cost(edges, poses, huber_delta):
+    """Sum over edges of Huber(weight * residual), one edge at a time."""
+    c = 0.0
+    for e in edges:
+        r2 = e.weight * residual(poses[e.i], poses[e.j], e.T_hat)
+        s = np.sqrt(max(r2, 0.0))
+        d = huber_delta
+        c += r2 if s <= d else 2.0 * d * s - d * d
+    return c
+
+
+def solve(graph, max_iters=50, rel_tol=1e-12):
+    reachable = graph.connected_nodes()
+    excluded = sorted(set(graph.nodes) - reachable)
+    free = sorted(n for n in reachable if n != graph.ego)
+    poses = {n: Pose(graph.nodes[n].R.copy(), graph.nodes[n].t.copy()) for n in reachable}
+    poses[graph.ego] = Pose.identity()
+    edges = [e for e in graph.edges if e.i in reachable and e.j in reachable]
+    if not free or not edges:
+        return poses, SolveReport(0.0, 0.0, 0, True, excluded)
+
+    idx = {n: k for k, n in enumerate(free)}
+    n_params = 6 * len(free)
+    cost = robust_cost(edges, poses, graph.huber_delta)
+    initial_cost = cost
+    lam = 1e-6
+    converged = False
+    it = 0
+    for it in range(1, max_iters + 1):
+        JtJ = np.zeros((n_params, n_params))
+        Jtr = np.zeros(n_params)
+        for e in edges:
+            Ti = poses[e.i].matrix()
+            Tj_inv = poses[e.j].inverse().matrix()
+            Th = e.T_hat.matrix()
+            M = Th @ Tj_inv @ Ti
+            E = M - np.eye(4)
+            r2 = e.weight * float(np.sum(E * E))
+            w = e.weight * _huber_weight(r2, graph.huber_delta)
+            r = E.reshape(-1)
+            blocks = []
+            if e.i != graph.ego:
+                Ji = np.stack([(M @ _GEN[k]).reshape(-1) for k in range(6)], axis=1)
+                blocks.append((idx[e.i], Ji))
+            if e.j != graph.ego:
+                Jj = np.stack(
+                    [(-Th @ _GEN[k] @ Tj_inv @ Ti).reshape(-1) for k in range(6)], axis=1
+                )
+                blocks.append((idx[e.j], Jj))
+            for bi, Jb in blocks:
+                Jtr[6 * bi : 6 * bi + 6] += w * (Jb.T @ r)
+                for bj, Jb2 in blocks:
+                    JtJ[6 * bi : 6 * bi + 6, 6 * bj : 6 * bj + 6] += w * (Jb.T @ Jb2)
+
+        accepted = False
+        for _ in range(12):
+            A = JtJ + lam * np.diag(np.maximum(np.diag(JtJ), 1e-12))
+            try:
+                step = np.linalg.solve(A, -Jtr)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            trial = dict(poses)
+            for n in free:
+                k = idx[n]
+                trial[n] = poses[n].compose(se3_exp(step[6 * k : 6 * k + 6])).orthonormalized()
+            trial_cost = robust_cost(edges, trial, graph.huber_delta)
+            if trial_cost < cost:
+                poses = trial
+                lam = max(lam * 0.3, 1e-12)
+                accepted = True
+                improvement = cost - trial_cost
+                cost = trial_cost
+                break
+            lam *= 10.0
+        if not accepted:
+            converged = True
+            break
+        if improvement <= rel_tol * max(cost, 1e-300) or cost < 1e-24:
+            converged = True
+            break
+
+    return poses, SolveReport(initial_cost, cost, it, converged, excluded)

@@ -228,8 +228,8 @@ def test_compute_H_against_finite_differences():
 def test_Fx_Fi_shapes_and_structure():
     state = random_state()
     u = random_input()
-    Fx = compute_Fx(state, u, u.dt)
-    Fi = compute_Fi(state, u, u.dt)
+    Fx = compute_Fx(state, u)
+    Fi = compute_Fi(state, u)
     assert Fx.shape == (12, 12) and Fi.shape == (12, 12)
     # position error never reacts directly to IMU noise within a step
     assert np.allclose(Fi[0:3, :], 0.0)

@@ -1,0 +1,176 @@
+"""The structured filter step and pose-graph solve against their first versions.
+
+`estimator_reference` holds the filter step and the solver as they were
+written around the `geom` helpers and per-edge loops; the code in
+`relpose.eskf` and `relpose.pgo` must reproduce them to 1e-12.
+"""
+
+import numpy as np
+import pytest
+
+import estimator_reference as ref
+from relpose import eskf, pgo
+from relpose.geom import Pose, quat_normalize, rotmat_from_quat, se3_exp
+from relpose.rawpose import RawPoseMeasurement
+
+TOL = dict(rtol=1e-12, atol=1e-12)
+
+
+def _close(a, b):
+    np.testing.assert_allclose(a, b, **TOL)
+
+
+def _random_step(rng, k):
+    state = eskf.NominalState(
+        p=rng.normal(0, 3.0, 3),
+        v=rng.normal(0, 1.0, 3),
+        q=quat_normalize(rng.normal(size=4)),
+        t=float(rng.uniform(0, 10)),
+    )
+    A = rng.normal(size=(12, 12))
+    P = 0.01 * (A @ A.T) + 0.01 * np.eye(12)
+    delta = rng.normal(0, 0.01, 12) if k % 2 else np.zeros(12)
+    # every third input has a still observer: the first-order branch of Exp
+    w_mb = rng.normal(0, 1.0, 3) if k % 3 else np.zeros(3)
+    a_ma, w_ma, a_mb = rng.normal(0, 5.0, 3), rng.normal(0, 1.0, 3), rng.normal(0, 5.0, 3)
+    u = eskf.ImuPairInput(a_ma, w_ma, a_mb, w_mb, 0.01)
+    p_ab = -rotmat_from_quat(state.q).T @ state.p
+    if k % 10 == 9:
+        p_ab = p_ab + 10.0  # far outside the chi-square gate
+    z = RawPoseMeasurement(
+        p_ba=state.p + rng.normal(0, 0.1, 3),
+        p_ab=p_ab + rng.normal(0, 0.1, 3),
+        q_ba=quat_normalize(state.q + rng.normal(0, 0.05, 4)),
+        t=state.t,
+    )
+    return state, eskf.ErrorBelief(delta, P), u, z
+
+
+@pytest.mark.parametrize("range_scaled_V", [True, False])
+def test_filter_step_matches_reference(range_scaled_V):
+    rng = np.random.default_rng(7)
+    cfg = eskf.FilterConfig(range_scaled_V=range_scaled_V)
+    gated = set()
+    for k in range(50):
+        state, belief, u, z = _random_step(rng, k)
+
+        s_new, b_new = eskf.predict(state, belief, u, cfg)
+        s_ref, b_ref = ref.predict(state, belief, u, cfg)
+        for a, b in [(s_new.p, s_ref.p), (s_new.v, s_ref.v), (s_new.q, s_ref.q),
+                     (b_new.delta_mean, b_ref.delta_mean), (b_new.P, b_ref.P)]:
+            _close(a, b)
+        assert s_new.t == s_ref.t
+        _close(eskf.compute_Fx(state, u), ref.compute_Fx(state, u, u.dt))
+        _close(eskf.compute_Fi(state, u), ref.compute_Fi(state, u, u.dt))
+        _close(eskf.compute_H(state), ref.compute_H(state))
+        _close(eskf.innovation(state, z), ref.innovation(state, z))
+
+        u_new = eskf.update(s_new, b_new, z, cfg)
+        u_ref = ref.update(s_new, b_new, z, cfg)
+        assert (u_new is b_new) == (u_ref is b_new)
+        if u_new is b_new:
+            gated.add(k)
+        _close(u_new.delta_mean, u_ref.delta_mean)
+        _close(u_new.P, u_ref.P)
+
+        r_new = eskf.inject_and_reset(s_new, u_new)
+        r_ref = ref.inject_and_reset(s_new, u_new)
+        for a, b in [(r_new[0].p, r_ref[0].p), (r_new[0].v, r_ref[0].v),
+                     (r_new[0].q, r_ref[0].q), (r_new[1].P, r_ref[1].P)]:
+            _close(a, b)
+        assert np.array_equal(r_new[1].delta_mean, np.zeros(12))
+        _close(eskf.reset_jacobian(u_new.delta_mean), ref.reset_jacobian(u_new.delta_mean))
+    assert {9, 19, 29, 39, 49} <= gated and len(gated) < 25  # both branches ran
+
+
+def test_gated_measurement_returns_input_belief():
+    rng = np.random.default_rng(8)
+    cfg = eskf.FilterConfig()
+    state, _, _, _ = _random_step(rng, 0)
+    belief = eskf.ErrorBelief(np.zeros(12), np.eye(12) * 1e-6)
+    z = RawPoseMeasurement(state.p + 10.0, rng.normal(0, 3.0, 3), state.q)
+    assert ref.update(state, belief, z, cfg) is belief
+    assert eskf.update(state, belief, z, cfg) is belief
+
+
+def test_singular_innovation_as_reference():
+    state, _, _, _ = _random_step(np.random.default_rng(9), 0)
+    belief = eskf.ErrorBelief(np.zeros(12), np.zeros((12, 12)))
+    cfg = eskf.FilterConfig(V=np.zeros((9, 9)), range_scaled_V=False, gate_chi2=None)
+    z = RawPoseMeasurement(state.p, np.zeros(3), state.q)
+    for update in (ref.update, eskf.update):
+        with pytest.raises(eskf.SingularInnovation):
+            update(state, belief, z, cfg)
+
+
+# -- pose graph -----------------------------------------------------------------
+
+
+def _random_pose(rng, scale=3.0):
+    return Pose(rotmat_from_quat(quat_normalize(rng.normal(size=4))), rng.uniform(-scale, scale, 3))
+
+
+def _graph(rng, n_nodes, pairs, outlier=None, unreachable=False):
+    truth = {k: Pose.identity() if k == 0 else _random_pose(rng) for k in range(n_nodes)}
+    edges = []
+    for i, j in pairs:
+        T = truth[i].inverse().compose(truth[j]).compose(se3_exp(rng.normal(0, 0.03, 6)))
+        if (i, j) == outlier:
+            T = Pose(T.R, T.t + np.array([4.0, -3.0, 2.0]))
+        edges.append(pgo.Edge(i, j, T.orthonormalized(), float(rng.uniform(0.5, 2.0))))
+    nodes = {k: truth[k].compose(se3_exp(rng.normal(0, 0.1, 6))).orthonormalized() for k in truth}
+    if unreachable:
+        nodes[n_nodes] = _random_pose(rng)
+    return nodes, edges
+
+
+def _graphs():
+    rng = np.random.default_rng(11)
+    cases = []
+    for n in (3, 4, 5, 6):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7 or i == 0]
+        cases.append(("random", _graph(rng, n, pairs)))
+    chain = [(0, 1), (1, 2), (2, 3)]
+    cases.append(("unreachable", _graph(rng, 4, chain + [(0, 2)], unreachable=True)))
+    cases.append(("outlier", _graph(rng, 4, chain + [(0, 3), (1, 3)], outlier=(1, 3))))
+    cases.append(("ego edges only", _graph(rng, 4, [(0, 1), (2, 0), (0, 3)])))
+    cases.append(("one edge", _graph(rng, 2, [(1, 0)])))
+    return cases
+
+
+@pytest.mark.parametrize("name,graph", _graphs(), ids=[c[0] for c in _graphs()])
+def test_solve_matches_reference(name, graph):
+    nodes, edges = graph
+    poses, report = pgo.solve(pgo.PoseGraph(0, dict(nodes), list(edges)), 25, 1e-10)
+    poses_ref, report_ref = ref.solve(pgo.PoseGraph(0, dict(nodes), list(edges)), 25, 1e-10)
+    assert (report.iterations, report.converged, report.excluded) == (
+        report_ref.iterations, report_ref.converged, report_ref.excluded
+    )
+    assert report.iterations > 0
+    _close(report.initial_cost, report_ref.initial_cost)
+    _close(report.final_cost, report_ref.final_cost)
+    assert list(poses) == list(poses_ref)
+    for k in poses:
+        _close(poses[k].matrix(), poses_ref[k].matrix())
+    if name == "unreachable":
+        assert report.excluded == [len(nodes) - 1]
+    if name == "outlier":
+        # the outlier edge sits on the linear branch of the Huber loss
+        T = poses[1].inverse().compose(poses[3])
+        assert edges[-1].weight * pgo.residual(poses[1], poses[3], edges[-1].T_hat) > 0.25
+        assert np.linalg.norm(T.t - edges[-1].T_hat.t) > 1.0
+
+
+@pytest.mark.parametrize("name,graph", _graphs(), ids=[c[0] for c in _graphs()])
+def test_batched_cost_is_the_sum_of_edge_residuals(name, graph):
+    nodes, edges = graph
+    order = sorted(nodes)
+    slot = {n: k for k, n in enumerate(order)}
+    stacked = pgo._Edges(
+        ii=np.array([slot[e.i] for e in edges]),
+        jj=np.array([slot[e.j] for e in edges]),
+        T_hat=pgo._stack([e.T_hat for e in edges]),
+        weight=np.array([e.weight for e in edges]),
+    )
+    _, _, r2 = pgo._residuals(pgo._stack([nodes[n] for n in order]), stacked)
+    _close(pgo._robust_cost(r2, 0.5), ref.robust_cost(edges, nodes, 0.5))

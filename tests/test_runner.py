@@ -203,3 +203,26 @@ def test_decoded_track_missing_a_frame_publishes_no_bearing(monkeypatch):
     assert seen[t_miss] == set()
     raw_t = res.raw[(0, 1)].t
     assert t_before in raw_t and t_after in raw_t and t_miss not in raw_t
+
+
+def test_singular_innovation_skips_one_update(monkeypatch):
+    import relpose.eskf
+    from relpose.eskf import SingularInnovation
+
+    update = relpose.eskf.update
+    calls = []
+
+    def singular_once(state, belief, z, cfg):
+        calls.append(z.t)
+        if len(calls) == 40:
+            calls.append(state)
+            raise SingularInnovation("Singular matrix")
+        return update(state, belief, z, cfg)
+
+    monkeypatch.setattr(relpose.eskf, "update", singular_once)
+    res = run_scenario(small_config(duration=2.0))
+    t_bad, prior = calls[39], calls[40]
+    ser = res.eskf[(0, 1)]
+    assert max(ser.t) > t_bad + 0.5  # the run went on past the bad tick
+    k = ser.t.index(t_bad)  # that tick is recorded, from the prior
+    assert np.array_equal(ser.poses[k].t, prior.p)
