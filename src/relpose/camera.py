@@ -63,22 +63,37 @@ def _w2(k: DsIntrinsics) -> float:
     return (w1 + k.xi) / np.sqrt(2.0 * w1 * k.xi + k.xi**2 + 1.0)
 
 
-def ds_project(p_cam, k: DsIntrinsics) -> tuple[float, float]:
-    """Project a camera-frame point to pixels. Raises OutOfImage."""
-    p = np.asarray(p_cam, dtype=float)
-    x, y, z = p
-    d1 = np.linalg.norm(p)
-    if d1 == 0.0:
-        raise ValueError("cannot project the camera center")
-    if z <= -_w2(k) * d1:
-        raise OutOfImage("point violates the Double Sphere validity condition")
-    half_fov = 0.5 * np.deg2rad(k.fov_deg)
-    if np.arccos(np.clip(z / d1, -1.0, 1.0)) > half_fov:
-        raise OutOfImage("point outside the FOV cone")
+def ds_project_array(p_cam, k: DsIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels (n, 2) of camera-frame points (n, 3), and a mask (n,) of the points
+    the model images: off the camera center, valid, and inside the FOV cone.
+
+    Rows off the mask are nan. Each norm is a per-row dot product through
+    matmul, as `np.linalg.norm` takes it for one point, so every row equals
+    the projection of that point alone bit for bit.
+    """
+    p = np.asarray(p_cam, dtype=float).reshape(-1, 3)
+    d1 = np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0, 0]
+    z = p[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the camera center fails the validity condition (0 <= 0)
+        ok = ~(z <= -_w2(k) * d1)
+        ok &= ~(np.arccos(np.clip(z / d1, -1.0, 1.0)) > 0.5 * np.deg2rad(k.fov_deg))
+    x, y, z, d1 = p[ok, 0], p[ok, 1], z[ok], d1[ok]
     zeta = k.xi * d1 + z
     d2 = np.sqrt(x * x + y * y + zeta * zeta)
     den = k.alpha * d2 + (1.0 - k.alpha) * zeta
-    return float(k.fx * x / den + k.cx), float(k.fy * y / den + k.cy)
+    uv = np.full((p.shape[0], 2), np.nan)
+    uv[ok, 0] = k.fx * x / den + k.cx
+    uv[ok, 1] = k.fy * y / den + k.cy
+    return uv, ok
+
+
+def ds_project(p_cam, k: DsIntrinsics) -> tuple[float, float]:
+    """Project one camera-frame point to pixels. Raises OutOfImage."""
+    uv, ok = ds_project_array(p_cam, k)
+    if not ok[0]:
+        raise OutOfImage("point at the camera center, invalid for the model, or outside the FOV cone")
+    return float(uv[0, 0]), float(uv[0, 1])
 
 
 def ds_unproject(uv, k: DsIntrinsics) -> np.ndarray:

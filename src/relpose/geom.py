@@ -170,21 +170,27 @@ def quat_from_euler_zyx(roll: float, pitch: float, yaw: float) -> np.ndarray:
     return quat_mul(quat_mul(qz, qy), qx)
 
 
-def euler_zyx_from_quat(q) -> tuple[float, float, float]:
-    """Extract (roll, pitch, yaw) with R = Rz(yaw) Ry(pitch) Rx(roll).
+def euler_zyx_from_rotmats(R) -> tuple[np.ndarray, np.ndarray]:
+    """(roll, pitch, yaw) of each rotation in R (n, 3, 3) as rows of (n, 3), with
+    R = Rz(yaw) Ry(pitch) Rx(roll), and a mask (n,) of the gimbal-locked rows.
 
-    Raises GimbalLock when |pitch| exceeds the guard (89.9 deg): the
+    A row is locked when |pitch| exceeds the guard (89.9 deg): the
     factorization is singular at +/-90 and roll/yaw become indistinct.
     """
-    R = rotmat_from_quat(q)
-    sp = -R[2, 0]
-    sp = float(np.clip(sp, -1.0, 1.0))
-    pitch = np.arcsin(sp)
-    if abs(pitch) > np.deg2rad(GIMBAL_GUARD_DEG):
-        raise GimbalLock(f"pitch {np.rad2deg(pitch):.2f} deg inside gimbal guard")
-    roll = np.arctan2(R[2, 1], R[2, 2])
-    yaw = np.arctan2(R[1, 0], R[0, 0])
-    return float(roll), float(pitch), float(yaw)
+    R = np.asarray(R, dtype=float)
+    pitch = np.arcsin(np.clip(-R[:, 2, 0], -1.0, 1.0))
+    roll = np.arctan2(R[:, 2, 1], R[:, 2, 2])
+    yaw = np.arctan2(R[:, 1, 0], R[:, 0, 0])
+    return np.stack((roll, pitch, yaw), axis=1), np.abs(pitch) > np.deg2rad(GIMBAL_GUARD_DEG)
+
+
+def euler_zyx_from_quat(q) -> tuple[float, float, float]:
+    """Extract (roll, pitch, yaw) of one quaternion. Raises GimbalLock inside the guard."""
+    rpy, locked = euler_zyx_from_rotmats(rotmats_from_quats(np.reshape(q, (1, 4))))
+    if locked[0]:
+        raise GimbalLock(f"pitch {np.rad2deg(rpy[0, 1]):.2f} deg inside gimbal guard")
+    roll, pitch, yaw = rpy[0].tolist()
+    return roll, pitch, yaw
 
 
 def wrap_angle(a: float) -> float:

@@ -125,7 +125,7 @@ def run_scenario(
     run_eskf = cfg.estimator in ("eskf", "pgo")
     run_pgo = cfg.estimator == "pgo"
 
-    bus = MessageBus(seed=cfg.seed ^ 0x5BD1E995)
+    bus = MessageBus(seed=cfg.seed ^ 0x5BD1E995, consumers=ids)
     trackers = {rid: SpotTracker(world.lib) for rid in ids}
     filters = {pair: RelativePoseFilter(filter_cfg) for pair in pairs}
     last_imu: dict[int, tuple] = {}

@@ -4,6 +4,11 @@ All randomness flows from one 64-bit seed through named child streams
 (``numpy.random.SeedSequence``), so two runs with the same scenario and
 seed produce bit-identical sensor streams regardless of robot count or
 query order.
+
+Samples are synthesized as arrays over chunks of about one simulated second,
+and `World.frames` is a per-tick view over them. Each named stream draws a
+chunk's noise in one block, in the order per-sample synthesis would draw it,
+so the streams do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import DEFAULT_INTRINSICS, DsIntrinsics, OutOfImage, ds_project
+from .camera import DEFAULT_INTRINSICS, DsIntrinsics, ds_project_array
 from .codec import IdLibrary, lit_at
-from .geom import GimbalLock, euler_zyx_from_quat, rotmat_from_quat, rotmats_from_quats
+from .geom import euler_zyx_from_rotmats, rotmats_from_quats
 from .trajectory import TrajectorySpec, TrajectoryState, eval_trajectory, eval_trajectory_array
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -46,9 +51,6 @@ class NoiseParams:
     def gyro_density_si(self) -> float:
         return np.deg2rad(self.gyro_density)
 
-    def zeroed(self) -> "NoiseParams":
-        return NoiseParams(0.0, 0.0, 0.0, 0.0, 0.0, self.seed)
-
 
 @dataclass
 class Obstacle:
@@ -64,148 +66,80 @@ class Obstacle:
         if any(e <= 0 for e in self.extents):
             raise ValueError("extents must be positive")
 
-    def intersects_segment(self, a, b) -> bool:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+    def blocks(self, a, b) -> np.ndarray:
+        """(n,) True where the segment a[i] -> b[i] meets the obstacle; a, b are (n, 3)."""
+        a = np.asarray(a, dtype=float).reshape(-1, 3)
+        d = np.asarray(b, dtype=float).reshape(-1, 3) - a
         c = np.asarray(self.center, dtype=float)
-        d = b - a
-        if self.shape == "box":
-            # slab test on the parameter interval [0, 1]
-            lo, hi = 0.0, 1.0
-            e = np.asarray(self.extents, dtype=float)
-            for k in range(3):
-                if abs(d[k]) < 1e-15:
-                    if abs(a[k] - c[k]) > e[k]:
-                        return False
-                    continue
-                t0 = (c[k] - e[k] - a[k]) / d[k]
-                t1 = (c[k] + e[k] - a[k]) / d[k]
-                if t0 > t1:
-                    t0, t1 = t1, t0
-                lo, hi = max(lo, t0), min(hi, t1)
-                if lo > hi:
-                    return False
-            return True
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.shape == "box":
+                return self._box_blocks(a, d, c)
+            return self._cylinder_blocks(a, d, c)
+
+    def intersects_segment(self, a, b) -> bool:
+        return bool(self.blocks(a, b)[0])
+
+    def _box_blocks(self, a, d, c) -> np.ndarray:
+        # slab test on the parameter interval [0, 1]
+        e = np.asarray(self.extents, dtype=float)
+        lo, hi = np.zeros(a.shape[0]), np.ones(a.shape[0])
+        hit = np.ones(a.shape[0], dtype=bool)
+        for k in range(3):
+            flat = np.abs(d[:, k]) < 1e-15  # parallel to the slab: inside it or never
+            hit &= ~flat | (np.abs(a[:, k] - c[k]) <= e[k])
+            t0 = (c[k] - e[k] - a[:, k]) / d[:, k]
+            t1 = (c[k] + e[k] - a[:, k]) / d[:, k]
+            lo = np.where(flat, lo, np.maximum(lo, np.minimum(t0, t1)))
+            hi = np.where(flat, hi, np.minimum(hi, np.maximum(t0, t1)))
+        return hit & (lo <= hi)
+
+    def _cylinder_blocks(self, a, d, c) -> np.ndarray:
         # vertical cylinder: quadratic in the xy plane, then z clip
-        r = self.extents[0]
-        hz = self.extents[2]
-        axy = a[:2] - c[:2]
-        dxy = d[:2]
-        A = float(dxy @ dxy)
-        B = 2.0 * float(axy @ dxy)
-        C = float(axy @ axy) - r * r
-        if A < 1e-15:
-            if C > 0:
-                return False
-            ts = [0.0, 1.0]
-        else:
-            disc = B * B - 4 * A * C
-            if disc < 0:
-                return False
-            sq = np.sqrt(disc)
-            t0, t1 = (-B - sq) / (2 * A), (-B + sq) / (2 * A)
-            lo, hi = max(t0, 0.0), min(t1, 1.0)
-            if lo > hi:
-                return False
-            ts = [lo, hi]
-        for t in ts:
-            z = a[2] + t * d[2]
-            if abs(z - c[2]) <= hz:
-                return True
-        # both crossings outside the z-range but on the same side?
-        z0 = a[2] + ts[0] * d[2] - c[2]
-        z1 = a[2] + ts[1] * d[2] - c[2]
-        return bool(z0 * z1 < 0 and min(abs(z0), abs(z1)) <= hz + abs(z1 - z0))
+        r, hz = self.extents[0], self.extents[2]
+        axy, dxy = a[:, :2] - c[:2], d[:, :2]
+        A = _dot_rows(dxy, dxy)
+        B = 2.0 * _dot_rows(axy, dxy)
+        C = _dot_rows(axy, axy) - r * r
+        disc = B * B - 4 * A * C
+        sq = np.sqrt(disc)
+        vertical = A < 1e-15  # no xy motion: the whole segment is inside the circle or outside
+        lo = np.where(vertical, 0.0, np.maximum((-B - sq) / (2 * A), 0.0))
+        hi = np.where(vertical, 1.0, np.minimum((-B + sq) / (2 * A), 1.0))
+        meets_circle = np.where(vertical, C <= 0, (disc >= 0) & (lo <= hi))
+        # z at the two crossings, relative to the center: inside the z-range,
+        # or on opposite sides of it
+        z0 = a[:, 2] + lo * d[:, 2] - c[2]
+        z1 = a[:, 2] + hi * d[:, 2] - c[2]
+        span = (z0 * z1 < 0) & (np.minimum(np.abs(z0), np.abs(z1)) <= hz + np.abs(z1 - z0))
+        return meets_circle & ((np.abs(z0) <= hz) | (np.abs(z1) <= hz) | span)
 
 
-def synth_imu(traj_state, noise: NoiseParams, dt: float, rng: np.random.Generator):
-    """Body-frame specific force and angular rate with discrete white noise."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    R = rotmat_from_quat(traj_state.q)
-    accel = R.T @ (traj_state.a - GRAVITY)
-    gyro = traj_state.w_body.copy()
-    sa = noise.accel_density_si / np.sqrt(dt)
-    sw = noise.gyro_density_si / np.sqrt(dt)
-    if sa > 0:
-        accel = accel + rng.normal(0.0, sa, 3)
-    if sw > 0:
-        gyro = gyro + rng.normal(0.0, sw, 3)
-    return accel, gyro
-
-
-def synth_uwb(p_i, p_j, noise: NoiseParams, rng: np.random.Generator) -> float | None:
-    """Noisy range, clamped at zero; None beyond the radio's max range."""
-    d = float(np.linalg.norm(np.asarray(p_i, dtype=float) - np.asarray(p_j, dtype=float)))
-    if d > UWB_MAX_RANGE:
-        return None
-    if noise.uwb_sigma > 0:
-        d += float(rng.normal(0.0, noise.uwb_sigma))
-    return max(d, 0.0)
-
-
-def synth_detection(
-    observer_p,
-    observer_q,
-    target_p,
-    k: DsIntrinsics,
-    obstacles: list[Obstacle],
-    noise: NoiseParams,
-    rng: np.random.Generator,
-) -> tuple[float, float] | None:
-    """Pixel of the target beacon in the observer camera, or None.
-
-    None when the line of sight is occluded or the target leaves the
-    model's validity region / FOV cone. The camera frame coincides with the
-    observer body frame (z forward = body z... the beacon is treated as a
-    point at the target body origin).
-    """
-    observer_p = np.asarray(observer_p, dtype=float)
-    target_p = np.asarray(target_p, dtype=float)
-    for ob in obstacles:
-        if ob.intersects_segment(observer_p, target_p):
-            return None
-    R = rotmat_from_quat(observer_q)
-    p_cam = R.T @ (target_p - observer_p)
-    if np.linalg.norm(p_cam) == 0.0:
-        return None
-    try:
-        u, v = ds_project(p_cam, k)
-    except OutOfImage:
-        return None
-    if noise.pixel_sigma > 0:
-        u += float(rng.normal(0.0, noise.pixel_sigma))
-        v += float(rng.normal(0.0, noise.pixel_sigma))
-    return (u, v)
-
-
-def synth_attitude_rp(
-    true_q, noise: NoiseParams, rng: np.random.Generator
-) -> tuple[float, float]:
-    """IMU-derived roll/pitch: truth plus independent Gaussian noise."""
-    roll, pitch, _ = euler_zyx_from_quat(true_q)
-    s = np.deg2rad(noise.attitude_rp_sigma)
-    if s > 0:
-        roll += float(rng.normal(0.0, s))
-        pitch += float(rng.normal(0.0, s))
-    return (roll, pitch)
+def _dot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products through matmul, as `x @ y` or `np.linalg.norm` takes one row."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 class MessageBus:
     """In-process broadcast bus with fixed latency and i.i.d. loss.
 
     Per-sender delivery order is preserved. Polling is read-only per
-    consumer cursor, so concurrent pollers are safe.
+    consumer cursor, so concurrent pollers are safe. A bus that knows its
+    consumers drops the packets all of them have read, so its memory stays
+    bounded on long runs.
     """
 
-    def __init__(self, latency: float = 0.0, loss_rate: float = 0.0, seed: int = 0):
+    def __init__(
+        self, latency: float = 0.0, loss_rate: float = 0.0, seed: int = 0, consumers=()
+    ):
         if not (0.0 <= loss_rate <= 1.0):
             raise ValueError("loss_rate must be in [0, 1]")
         self.latency = latency
         self.loss_rate = loss_rate
         self._rng = np.random.default_rng(seed)
         self._queue: list[tuple[float, int, object]] = []  # (deliver_at, sender, payload)
-        self._cursor: dict[int, int] = {}
+        self._base = 0  # packets dropped from the front of the queue
+        self._consumers = tuple(consumers)
+        self._cursor: dict[int, int] = dict.fromkeys(self._consumers, 0)
 
     def publish(self, sender: int, t: float, payload) -> None:
         if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
@@ -214,7 +148,9 @@ class MessageBus:
 
     def poll(self, robot: int, t: float) -> list[tuple[int, object]]:
         """Packets from other robots that became available since last poll."""
-        start = self._cursor.get(robot, 0)
+        if self._consumers and robot not in self._cursor:
+            raise ValueError(f"robot {robot} is not a consumer of this bus")
+        start = self._cursor.get(robot, 0) - self._base
         out = []
         last = start
         for k in range(start, len(self._queue)):
@@ -224,11 +160,16 @@ class MessageBus:
             last = k + 1
             if sender != robot:
                 out.append((sender, payload))
-        self._cursor[robot] = last
+        self._cursor[robot] = self._base + last
+        if self._consumers:
+            read = min(self._cursor.values()) - self._base
+            if read and 2 * read >= len(self._queue):  # amortized O(1) per packet
+                del self._queue[:read]
+                self._base += read
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class RobotSensors:
     """One robot's synthesized samples at one tick (fields may be None)."""
 
@@ -269,7 +210,7 @@ class TruthGrid:
         return _relative_truth(self.states[observer].at(k), self.states[target].at(k))
 
 
-@dataclass
+@dataclass(slots=True)
 class SensorFrame:
     t: float
     robots: dict[int, RobotSensors]
@@ -307,6 +248,8 @@ class World:
         for r in (imu_rate, cam_rate, uwb_rate):
             if abs(self._master_rate / r - round(self._master_rate / r)) > 1e-9:
                 raise ValueError("imu/cam/uwb rates must divide the master (fastest) rate")
+        # master ticks between two samples of the IMU, the radio and the camera
+        self._every = tuple(int(round(self._master_rate / r)) for r in (imu_rate, uwb_rate, cam_rate))
         # one independent child stream per robot per sensor: stable under
         # changes in query order
         ss = np.random.SeedSequence(noise.seed)
@@ -339,46 +282,117 @@ class World:
         return p[0], R[0]
 
     def frames(self, duration: float):
-        """Yield SensorFrames on the shared clock for the given duration."""
-        imu_every = int(round(self._master_rate / self.imu_rate))
-        uwb_every = int(round(self._master_rate / self.uwb_rate))
-        cam_every = int(round(self._master_rate / self.cam_rate))
-        ids = sorted(self.robots)
+        """Yield SensorFrames on the shared clock for the given duration.
+
+        The samples of about one simulated second are synthesized together,
+        when the first frame of that chunk is asked for.
+        """
         grid = self.truth_grid(duration)
-        for k in range(grid.t.size):
-            t = k / self._master_rate
-            has_imu = k % imu_every == 0
-            has_cam = k % cam_every == 0
-            has_uwb = k % uwb_every == 0
-            states = {rid: grid.states[rid].at(k) for rid in ids}
-            frame: dict[int, RobotSensors] = {}
-            for rid in ids:
-                s = RobotSensors()
-                st = states[rid]
-                if has_imu:
-                    s.imu = synth_imu(st, self.noise, 1.0 / self.imu_rate, self._rng[(rid, "imu")])
-                if has_uwb:
-                    for other in ids:
-                        if other == rid:
-                            continue
-                        rng = synth_uwb(st.p, states[other].p, self.noise, self._rng[(rid, "uwb")])
-                        if rng is not None:
-                            s.uwb.append((other, rng))
-                if has_cam:
-                    try:
-                        s.attitude_rp = synth_attitude_rp(st.q, self.noise, self._rng[(rid, "att")])
-                    except GimbalLock:
-                        s.attitude_rp = None  # no roll/pitch this tick
-                    for other in ids:
-                        if other == rid:
-                            continue
-                        px = synth_detection(
-                            st.p, st.q, states[other].p, self.k, self.obstacles,
-                            self.noise, self._rng[(rid, "cam")],
-                        )
-                        if px is not None:
-                            led = self.robots[other][1]
-                            lit = lit_at(t, self.lib.duty_of(led), self.lib.period)
-                            s.detections.append((other, px, lit))
-                frame[rid] = s
-            yield SensorFrame(t, frame, has_imu, has_cam, has_uwb)
+        step = max(int(round(self._master_rate)), 1)
+        for k0 in range(0, grid.t.size, step):
+            yield from self._chunk(grid, k0, min(k0 + step, grid.t.size))
+
+    def _chunk(self, grid: TruthGrid, k0: int, k1: int) -> list[SensorFrame]:
+        """The frames of master ticks [k0, k1), every sensor synthesized as arrays."""
+        ids = sorted(self.robots)
+        k = np.arange(k0, k1)
+        masks = [k % every == 0 for every in self._every]
+        i_imu, i_uwb, i_cam = (np.flatnonzero(m) for m in masks)
+        has_imu, has_uwb, has_cam = (m.tolist() for m in masks)
+        t_cam = grid.t[k0:k1][i_cam]
+        lit = {
+            rid: lit_at(t_cam, self.lib.duty_of(led), self.lib.period).tolist()
+            for rid, (_, led) in self.robots.items()
+        }
+        q = np.concatenate([grid.states[rid].q[k0:k1] for rid in ids])
+        rotmats = rotmats_from_quats(q).reshape(len(ids), k1 - k0, 3, 3)
+        columns = []
+        for rid, R in zip(ids, rotmats):
+            others = [o for o in ids if o != rid]
+            s = grid.states[rid].at(slice(k0, k1))
+            p_others = [grid.states[o].p[k0:k1] for o in others]
+            imu = iter(self._imu(R[i_imu], s.a[i_imu], s.w_body[i_imu], self._rng[(rid, "imu")]))
+            uwb = iter(self._ranges(
+                s.p[i_uwb], [p[i_uwb] for p in p_others], others, self._rng[(rid, "uwb")]
+            ))
+            det = iter(self._detections(
+                s.p[i_cam], R[i_cam], [p[i_cam] for p in p_others], others, lit, self._rng[(rid, "cam")]
+            ))
+            att = iter(self._attitude_rp(R[i_cam], self._rng[(rid, "att")]))
+            columns.append([
+                RobotSensors(
+                    next(imu) if a else None,
+                    next(uwb) if b else [],
+                    next(det) if c else [],
+                    next(att) if c else None,
+                )
+                for a, b, c in zip(has_imu, has_uwb, has_cam)
+            ])
+        return [
+            SensorFrame(kk / self._master_rate, dict(zip(ids, sensors)), a, c, b)
+            for kk, sensors, a, b, c in zip(range(k0, k1), zip(*columns), has_imu, has_uwb, has_cam)
+        ]
+
+    def _imu(self, R, a, w_body, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Body-frame specific force and angular rate with discrete white noise.
+
+        R (n, 3, 3) is the attitude, a (n, 3) the world acceleration, w_body (n, 3) the body rate.
+        """
+        dt = 1.0 / self.imu_rate
+        out = np.empty((R.shape[0], 6))
+        out[:, :3] = (R.transpose(0, 2, 1) @ (a - GRAVITY)[:, :, None])[:, :, 0]
+        out[:, 3:] = w_body
+        densities = [self.noise.accel_density_si, self.noise.gyro_density_si]
+        sigma = np.repeat([d / np.sqrt(dt) for d in densities], 3)
+        on = sigma > 0  # a zero sigma draws nothing
+        if on.any():
+            out[:, on] += rng.normal(0.0, sigma[on], (out.shape[0], int(on.sum())))
+        return list(zip(out[:, :3], out[:, 3:]))
+
+    def _ranges(self, p, p_others, others, rng: np.random.Generator) -> list[list[tuple[int, float]]]:
+        """Noisy ranges from p (n, 3) to each of p_others, clamped at zero; none beyond the max range."""
+        d = np.empty((p.shape[0], len(others)))
+        for j, q in enumerate(p_others):
+            d[:, j] = np.sqrt(_dot_rows(p - q, p - q))
+        ok = ~(d > UWB_MAX_RANGE)
+        if self.noise.uwb_sigma > 0:
+            d[ok] += rng.normal(0.0, self.noise.uwb_sigma, int(ok.sum()))
+        d = np.where(d < 0.0, 0.0, d)
+        return [
+            [(o, r) for o, r, keep in zip(others, row, ok_row) if keep]
+            for row, ok_row in zip(d.tolist(), ok.tolist())
+        ]
+
+    def _detections(self, p, R, p_others, others, lit, rng: np.random.Generator) -> list[list]:
+        """(peer, pixel, lit) of each peer that the camera at p (n, 3), R (n, 3, 3) sees.
+
+        A peer is seen when no obstacle blocks the line of sight and its
+        beacon projects inside the camera model's validity region and FOV cone.
+        """
+        n = p.shape[0]
+        R_T = R.transpose(0, 2, 1)
+        uv = np.empty((n, len(others), 2))
+        seen = np.empty((n, len(others)), dtype=bool)
+        for j, target in enumerate(p_others):
+            uv[:, j], seen[:, j] = ds_project_array((R_T @ (target - p)[:, :, None])[:, :, 0], self.k)
+            for ob in self.obstacles:
+                seen[:, j] &= ~ob.blocks(p, target)
+        if self.noise.pixel_sigma > 0:
+            uv[seen] += rng.normal(0.0, self.noise.pixel_sigma, (int(seen.sum()), 2))
+        lits = [lit[o] for o in others]
+        return [
+            [(o, (u, v), on[i]) for o, u, v, keep, on in zip(others, u_row, v_row, seen_row, lits) if keep]
+            for i, (u_row, v_row, seen_row) in enumerate(
+                zip(uv[:, :, 0].tolist(), uv[:, :, 1].tolist(), seen.tolist())
+            )
+        ]
+
+    def _attitude_rp(self, R, rng: np.random.Generator) -> list[tuple[float, float] | None]:
+        """IMU-derived roll/pitch of attitudes R (n, 3, 3): truth plus independent
+        Gaussian noise; None under gimbal lock."""
+        rpy, locked = euler_zyx_from_rotmats(R)
+        rp = rpy[:, :2]
+        s = np.deg2rad(self.noise.attitude_rp_sigma)
+        if s > 0:
+            rp[~locked] += rng.normal(0.0, s, (int((~locked).sum()), 2))
+        return [None if lock else tuple(row) for row, lock in zip(rp.tolist(), locked.tolist())]

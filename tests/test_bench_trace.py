@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import relpose.world
-from relpose.runner import run_scenario
+from relpose.runner import build_world, run_scenario
 from relpose.scenario import config_from_dict
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "relbench"))
@@ -54,3 +54,28 @@ def test_tracer_wraps_the_estimator_calls():
     for name in ("eskf.predict", "eskf.update", "eskf.inject_and_reset", "pgo.solve"):
         assert spans[name] > 0, name
     assert [getattr(owner, attr) for owner, attr in targets] == originals
+
+
+def test_frames_spans_cover_synthesis():
+    # world.frames.self_s means synthesis: frames() does no work until it is
+    # iterated, and the traced run opens one span per frame it yields
+    cfg = team_config()
+    world = build_world(cfg)
+    before = {key: rng.bit_generator.state for key, rng in world._rng.items()}
+    frames = world.frames(cfg.duration)
+    assert world._grid is None
+    assert {key: rng.bit_generator.state for key, rng in world._rng.items()} == before
+    next(frames)
+    assert world._grid is not None
+    assert {key: rng.bit_generator.state for key, rng in world._rng.items()} != before
+    n_frames = 1 + sum(1 for _ in frames)
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        run_scenario(cfg)
+    finally:
+        t.uninstall()
+    spans = Counter(span[tracer.NAME] for span in t.spans)
+    assert n_frames == 101
+    assert spans["world.frames"] == n_frames

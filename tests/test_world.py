@@ -4,19 +4,10 @@ import pytest
 from relpose.camera import DEFAULT_INTRINSICS, ds_unproject
 from relpose.geom import rotmat_from_quat
 from relpose.trajectory import TrajectorySpec, AttitudeProfile
-from relpose.world import (
-    GRAVITY,
-    UWB_MAX_RANGE,
-    MessageBus,
-    NoiseParams,
-    Obstacle,
-    World,
-    synth_detection,
-    synth_imu,
-    synth_uwb,
-)
+from relpose.world import GRAVITY, UWB_MAX_RANGE, MessageBus, NoiseParams, Obstacle, World
+from world_reference import synth_detection, synth_imu, synth_uwb, zeroed
 
-QUIET = NoiseParams().zeroed()
+QUIET = zeroed(NoiseParams())
 
 
 def two_robot_world(noise=QUIET, obstacles=None, **rates):
@@ -222,6 +213,35 @@ def test_bus_order_preserved():
         bus.publish(0, 0.1 * k, k)
     got = [p for _, p in bus.poll(1, 1.0)]
     assert got == [0, 1, 2, 3, 4]
+
+
+def test_bus_queue_stays_bounded():
+    # two robots polling every tick, packets held back two ticks by latency
+    bus = MessageBus(latency=0.02, consumers=(0, 1))
+    got = {0: [], 1: []}
+    longest = 0
+    for k in range(5000):
+        t = 0.01 * k
+        bus.publish(0, t, k)
+        bus.publish(1, t, k)
+        for rid in (0, 1):
+            got[rid] += [p for _, p in bus.poll(rid, t)]
+        longest = max(longest, len(bus._queue))
+    for rid in (0, 1):
+        got[rid] += [p for _, p in bus.poll(rid, 1e9)]
+    assert got == {0: list(range(5000)), 1: list(range(5000))}
+    assert longest <= 16
+
+
+def test_bus_keeps_packets_a_consumer_has_not_read():
+    bus = MessageBus(consumers=(0, 1))
+    for k in range(100):
+        bus.publish(0, 0.01 * k, k)
+        bus.poll(0, 0.01 * k)
+    assert [p for _, p in bus.poll(1, 1.0)] == list(range(100))
+    assert bus._queue == []
+    with pytest.raises(ValueError):
+        bus.poll(2, 1.0)
 
 
 def test_bus_validates_loss_rate():
