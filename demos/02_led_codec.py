@@ -8,7 +8,7 @@ tolerates one corrupted sample per period.
 
 import numpy as np
 
-from relpose.codec import IdLibrary, SpotTrack, decode_id, encode_schedule, sample_schedule
+from relpose.codec import IdLibrary, SpotTrack, decode_id, lit_at
 
 
 def main() -> None:
@@ -20,11 +20,10 @@ def main() -> None:
     print(f"library: period {lib.period*1e3:.0f} ms, duties "
           f"{[d for _, d in lib.entries]}")
 
-    for id_ in lib.ids:
-        schedule = encode_schedule(id_, lib, horizon + 2 * lib.period)
+    for id_, duty in lib.entries:
         phase = rng.uniform(0, lib.period)  # camera start vs. LED phase
         times = phase + np.arange(int(horizon * cam_rate) + 1) / cam_rate
-        lit = sample_schedule(schedule, times)
+        lit = [lit_at(t, duty, lib.period) for t in times]
 
         # Corrupt one sample per period, as a real tracker would suffer.
         for k in range(3):
@@ -34,7 +33,7 @@ def main() -> None:
         track = SpotTrack(track_id=id_)
         for t, on in zip(times, lit):
             track.add(t, (0.0, 0.0), on)
-        print(f"id {id_} (duty {lib.duty_of(id_):.1f}) -> decoded {decode_id(track, lib)}")
+        print(f"id {id_} (duty {duty:.1f}) -> decoded {decode_id(track, lib)}")
 
     # A track shorter than three periods is refused rather than guessed.
     short = SpotTrack(track_id=99)

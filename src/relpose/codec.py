@@ -52,17 +52,16 @@ class IdLibrary:
                 return d
         raise UnknownId(id_)
 
-    @property
-    def ids(self) -> list[int]:
-        return [i for i, _ in self.entries]
-
 
 MIN_PERIODS = 3  # whole periods a track must span before decoding
 
 
 @dataclass
 class SpotTrack:
-    """One tracked image spot: (t, pixel, lit) samples plus its decoded ID."""
+    """One tracked image spot: (t, pixel, lit) samples plus its decoded ID.
+
+    Once the ID is decoded, `SpotTracker` keeps only the latest sample.
+    """
 
     track_id: int
     samples: list[tuple[float, tuple[float, float], bool]] = field(default_factory=list)
@@ -82,16 +81,6 @@ class SpotTrack:
         return self.samples[-1][0]
 
 
-def encode_schedule(id_: int, lib: IdLibrary, horizon: float) -> list[tuple[float, float]]:
-    """Periodic (t_on, t_off) intervals from t=0 covering the horizon."""
-    duty = lib.duty_of(id_)
-    out = []
-    for k in range(int(np.ceil(horizon / lib.period - 1e-9))):
-        t = k * lib.period
-        out.append((t, min(t + duty * lib.period, horizon)))
-    return out
-
-
 def lit_at(t: float, duty: float, period: float, phase: float = 0.0) -> bool:
     """True when the LED is on at time t (on-window is [0, duty*period)).
 
@@ -99,18 +88,6 @@ def lit_at(t: float, duty: float, period: float, phase: float = 0.0) -> bool:
     exactly on the boundary does not flip with float rounding.
     """
     return ((t - phase) % period) < duty * period - 1e-9
-
-
-def sample_schedule(schedule: list[tuple[float, float]], camera_times) -> list[bool]:
-    """lit[k] is True iff camera_times[k] falls inside an on-interval."""
-    times = np.asarray(camera_times, dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("camera_times must be increasing")
-    starts = np.array([s for s, _ in schedule])
-    ends = np.array([e for _, e in schedule])
-    idx = np.searchsorted(starts, times, side="right") - 1
-    lit = (idx >= 0) & (times < ends[np.clip(idx, 0, len(ends) - 1)])
-    return list(lit)
 
 
 def _pattern_distance(times: np.ndarray, lit: np.ndarray, duty: float, period: float) -> int:
@@ -225,5 +202,6 @@ class SpotTracker:
             if tr.decoded_id is None:
                 tr.decoded_id = decode_id(tr, self.lib)
             if tr.decoded_id is not None:
+                del tr.samples[:-1]  # a decoded track is never decoded again
                 out[tr.decoded_id] = tid
         return out

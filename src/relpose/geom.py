@@ -22,10 +22,6 @@ class GimbalLock(ValueError):
     """Pitch too close to +/-90 deg for a Z-Y-X Euler factorization."""
 
 
-def quat_identity() -> np.ndarray:
-    return np.array([1.0, 0.0, 0.0, 0.0])
-
-
 def quat_normalize(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     n = np.linalg.norm(q)
@@ -130,18 +126,6 @@ def rotmat_from_rotvec(theta) -> np.ndarray:
     return rotmat_from_quat(quat_from_rotvec(theta))
 
 
-def quats_equal_as_rotations(a, b, tol: float = 1e-9) -> bool:
-    """True when a and b encode the same rotation (double cover folded)."""
-    d = abs(float(np.dot(a, b)))
-    return bool(d > 1.0 - tol)
-
-
-def quat_angle_between(a, b) -> float:
-    """Geodesic angle in radians between two unit quaternions as rotations."""
-    d = min(abs(float(np.dot(a, b))), 1.0)
-    return 2.0 * np.arccos(d)
-
-
 def skew(v) -> np.ndarray:
     x, y, z = v
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
@@ -223,20 +207,12 @@ class Pose:
         T[:3, 3] = self.t
         return T
 
-    @staticmethod
-    def from_matrix(T) -> "Pose":
-        T = np.asarray(T, dtype=float)
-        return Pose(T[:3, :3].copy(), T[:3, 3].copy())
-
     def compose(self, other: "Pose") -> "Pose":
         return Pose(self.R @ other.R, self.R @ other.t + self.t)
 
     def inverse(self) -> "Pose":
         Rt = self.R.T
         return Pose(Rt, -Rt @ self.t)
-
-    def apply(self, p) -> np.ndarray:
-        return self.R @ np.asarray(p, dtype=float) + self.t
 
     def orthonormalized(self) -> "Pose":
         # project R back onto SO(3) via SVD

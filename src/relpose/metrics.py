@@ -11,11 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Pose, rotation_angle_deg
-
-
-class InsufficientOverlap(ValueError):
-    pass
+from .geom import rotation_angle_deg
 
 
 @dataclass
@@ -29,47 +25,12 @@ class AlignedPair:
     gt_R: np.ndarray  # (n, 3, 3)
 
 
-@dataclass
-class TrajectoryPair:
-    """Timestamp-associated estimate/ground-truth pose series."""
-
-    est_t: np.ndarray
-    est: list[Pose]
-    gt_t: np.ndarray
-    gt: list[Pose]
-    tolerance: float = 0.005  # seconds
-
-    def matched(self) -> list[tuple[float, Pose, Pose]]:
-        gt_t = np.asarray(self.gt_t, dtype=float)
-        out = []
-        for t, e in zip(self.est_t, self.est):
-            k = int(np.argmin(np.abs(gt_t - t)))
-            if abs(gt_t[k] - t) <= self.tolerance:
-                out.append((float(t), e, self.gt[k]))
-        if len(out) < 2:
-            raise InsufficientOverlap(
-                f"only {len(out)} matched samples within {self.tolerance}s"
-            )
-        return out
-
-    def aligned(self) -> AlignedPair:
-        t, est, gt = zip(*self.matched())
-        return AlignedPair(
-            np.array(t),
-            np.array([e.t for e in est]),
-            np.array([e.R for e in est]),
-            np.array([g.t for g in gt]),
-            np.array([g.R for g in gt]),
-        )
-
-
-def error_series(pair: TrajectoryPair | AlignedPair) -> np.ndarray:
+def error_series(a: AlignedPair) -> np.ndarray:
     """Rows of (t, position error [m], rotation error [deg]), in one batched pass.
 
     The norm is a per-row dot product through matmul, which equals
     ``np.linalg.norm`` of each row bit for bit.
     """
-    a = pair.aligned() if isinstance(pair, TrajectoryPair) else pair
     d = a.est_p - a.gt_p
     dp = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
     dr = rotation_angle_deg(a.gt_R.transpose(0, 2, 1) @ a.est_R)
@@ -78,16 +39,6 @@ def error_series(pair: TrajectoryPair | AlignedPair) -> np.ndarray:
 
 def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(x ** 2)))
-
-
-def ate_pos(pair: TrajectoryPair | AlignedPair) -> float:
-    """RMS of translational error norms, meters."""
-    return _rms(error_series(pair)[:, 1])
-
-
-def ate_rot(pair: TrajectoryPair | AlignedPair) -> float:
-    """RMS of geodesic rotation angles, degrees."""
-    return _rms(error_series(pair)[:, 2])
 
 
 def summarize(s: np.ndarray, boxplots: bool = False) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +18,8 @@ import numpy as np
 from . import __version__
 from .camera import InvalidPixel, ds_unproject
 from .codec import SpotTracker
-from .eskf import FilterConfig, ImuPairInput, RelativePoseFilter, SingularInnovation
-from .geom import GimbalLock, Pose, quat_from_rotmat, rotmat_from_quat
+from .eskf import ImuPairInput, RelativePoseFilter, SingularInnovation
+from .geom import GimbalLock, Pose, quat_from_rotmat, rotmat_from_quat, rotmats_from_quats
 from .metrics import AlignedPair, error_series, summarize
 from .pgo import edges_from_filters, solve
 from .rawpose import MutualObservation, VerticalDegeneracy, raw_estimate
@@ -29,18 +29,41 @@ from .world import MessageBus, World
 
 @dataclass
 class PoseSeries:
-    t: list[float] = field(default_factory=list)
-    poses: list[Pose] = field(default_factory=list)
+    """One estimate per row: times t (n,), positions p (n, 3), quaternions q (n, 4), w >= 0."""
 
-    def add(self, t: float, R, p) -> None:
-        self.t.append(t)
-        self.poses.append(Pose(R, p))
+    t: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+
+    @property
+    def poses(self) -> list[Pose]:
+        """The rows as `Pose` objects, for callers outside the package."""
+        return [Pose(R, p) for R, p in zip(rotmats_from_quats(self.q), self.p)]
+
+    @poses.setter
+    def poses(self, poses: list[Pose]) -> None:
+        self.p = np.array([x.t for x in poses], dtype=float).reshape(-1, 3)
+        self.q = np.array([quat_from_rotmat(x.R) for x in poses], dtype=float).reshape(-1, 4)
 
 
 @dataclass
 class FilterSeries(PoseSeries):
-    v: list[np.ndarray] = field(default_factory=list)
-    P_diag: list[np.ndarray] = field(default_factory=list)
+    """A filter's series, plus velocity v (n, 3) and the covariance diagonal P_diag (n, 12)."""
+
+    v: np.ndarray
+    P_diag: np.ndarray
+
+
+def _pose_series(rows: list) -> PoseSeries:
+    """Rows of (t, p, q), 8 values each, as one series."""
+    a = np.array(rows, dtype=float).reshape(-1, 8)
+    return PoseSeries(t=a[:, 0], p=a[:, 1:4], q=a[:, 4:8])
+
+
+def _filter_series(rows: list) -> FilterSeries:
+    """Rows of (t, p, v, q, P_diag), 23 values each, as one series."""
+    a = np.array(rows, dtype=float).reshape(-1, 23)
+    return FilterSeries(t=a[:, 0], p=a[:, 1:4], q=a[:, 7:11], v=a[:, 4:7], P_diag=a[:, 11:])
 
 
 @dataclass
@@ -58,9 +81,7 @@ class RunResult:
         grid = self.world.truth_grid(self.config.duration)
         t = np.asarray(series.t, dtype=float)
         gt_p, gt_R = grid.relative(observer, target, grid.ticks(t))
-        est_p = np.array([pose.t for pose in series.poses]).reshape(-1, 3)
-        est_R = np.array([pose.R for pose in series.poses]).reshape(-1, 3, 3)
-        return AlignedPair(t, est_p, est_R, gt_p, gt_R)
+        return AlignedPair(t, series.p, rotmats_from_quats(series.q), gt_p, gt_R)
 
 
 def _pairs_for(cfg: ScenarioConfig) -> list[tuple[int, int]]:
@@ -114,9 +135,7 @@ def _resolve_bearings(cfg, tracker, led_to_robot, rid, t, detections) -> dict[in
     return out
 
 
-def run_scenario(
-    cfg: ScenarioConfig, filter_cfg: FilterConfig | None = None
-) -> RunResult:
+def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Simulate one scenario and run the configured estimator stack."""
     world = build_world(cfg)
     ids = sorted(world.robots)
@@ -127,7 +146,7 @@ def run_scenario(
 
     bus = MessageBus(seed=cfg.seed ^ 0x5BD1E995, consumers=ids)
     trackers = {rid: SpotTracker(world.lib) for rid in ids}
-    filters = {pair: RelativePoseFilter(filter_cfg) for pair in pairs}
+    filters = {pair: RelativePoseFilter() for pair in pairs}
     last_imu: dict[int, tuple] = {}
     neighbor_imu: dict[int, dict[int, tuple]] = {rid: {} for rid in ids}
     neighbor_cam: dict[int, dict[int, tuple]] = {rid: {} for rid in ids}
@@ -135,9 +154,10 @@ def run_scenario(
     bearings: dict[int, dict[int, np.ndarray]] = {}  # this camera frame's, by robot
     last_meas_t: dict[tuple[int, int], float] = {}
 
-    raw_series = {pair: PoseSeries() for pair in pairs}
-    eskf_series = {pair: FilterSeries() for pair in pairs}
-    pgo_series: dict[int, PoseSeries] = {rid: PoseSeries() for rid in ids if rid != cfg.ego}
+    # one row of plain values per recorded sample; arrays are built after the loop
+    raw_rows: dict[tuple[int, int], list] = {pair: [] for pair in pairs}
+    eskf_rows: dict[tuple[int, int], list] = {pair: [] for pair in pairs}
+    pgo_rows: dict[int, list] = {rid: [] for rid in ids if rid != cfg.ego}
     pgo_converged: list[bool] = []
 
     imu_dt = 1.0 / cfg.imu_rate
@@ -217,7 +237,7 @@ def run_scenario(
                         except (VerticalDegeneracy, GimbalLock):
                             z = None
                         if z is not None:
-                            raw_series[(obs, tgt)].add(t, rotmat_from_quat(z.q_ba), z.p_ba)
+                            raw_rows[(obs, tgt)].append(np.concatenate(([t], z.p_ba, z.q_ba)))
                             if run_eskf:
                                 try:
                                     f.process_measurement(z)
@@ -227,10 +247,10 @@ def run_scenario(
                                     last_meas_t[(obs, tgt)] = t
                 if run_eskf and f.initialized:
                     st = f.state
-                    ser = eskf_series[(obs, tgt)]
-                    ser.add(t, rotmat_from_quat(st.q), st.p)
-                    ser.v.append(st.v.copy())
-                    ser.P_diag.append(np.diag(f.belief.P).copy())
+                    q = -st.q if st.q[0] < 0 else st.q
+                    eskf_rows[(obs, tgt)].append(
+                        np.concatenate(([t], st.p, st.v, q, np.diag(f.belief.P)))
+                    )
 
             if run_pgo and cam_tick % pgo_every == 0:
                 estimates = {}
@@ -242,16 +262,18 @@ def run_scenario(
                     poses, report = solve(graph, max_iters=25, rel_tol=1e-10)
                     pgo_converged.append(report.converged)
                     for rid, pose in poses.items():
-                        if rid != cfg.ego and rid in pgo_series:
-                            pgo_series[rid].add(t, pose.R, pose.t)
+                        if rid != cfg.ego and rid in pgo_rows:
+                            pgo_rows[rid].append(
+                                np.concatenate(([t], pose.t, quat_from_rotmat(pose.R)))
+                            )
             cam_tick += 1
 
     result = RunResult(
         config=cfg,
         world=world,
-        raw=raw_series,
-        eskf=eskf_series,
-        pgo=pgo_series,
+        raw={pair: _pose_series(rows) for pair, rows in raw_rows.items()},
+        eskf={pair: _filter_series(rows) for pair, rows in eskf_rows.items()},
+        pgo={rid: _pose_series(rows) for rid, rows in pgo_rows.items()},
         pgo_converged=pgo_converged,
         metrics={},
     )
@@ -274,15 +296,12 @@ def compute_metrics(result: RunResult) -> dict:
     return out
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """One row per sample of the columns (1-D or 2-D arrays), every value as %.17g."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(row % tuple(values) for values in np.column_stack(columns).tolist())
 
 
 def export_ground_truth(world: World, duration: float, out_dir: Path) -> None:
@@ -296,7 +315,7 @@ def export_ground_truth(world: World, duration: float, out_dir: Path) -> None:
         _write_csv(
             out_dir / f"gt_robot{rid}.csv",
             ["t_s", "px_m", "py_m", "pz_m", "vx_ms", "vy_ms", "vz_ms", "qw", "qx", "qy", "qz"],
-            np.column_stack((ts, s.p[k], s.v[k], s.q[k])),
+            (ts, s.p[k], s.v[k], s.q[k]),
         )
 
 
@@ -305,33 +324,15 @@ def write_outputs(result: RunResult, out_dir: str | Path, config_dict: dict | No
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     export_ground_truth(result.world, result.config.duration, out)
-    for (obs, tgt), ser in result.raw.items():
-        rows = [
-            (t, *p.t, *quat_from_rotmat(p.R)) for t, p in zip(ser.t, ser.poses)
-        ]
-        _write_csv(
-            out / f"raw_{obs}_{tgt}.csv",
-            ["t_s", "px_m", "py_m", "pz_m", "qw", "qx", "qy", "qz"],
-            rows,
-        )
-    for (obs, tgt), ser in result.eskf.items():
-        rows = [
-            (t, *p.t, *v, *quat_from_rotmat(p.R), *pd)
-            for t, p, v, pd in zip(ser.t, ser.poses, ser.v, ser.P_diag)
-        ]
-        _write_csv(
-            out / f"eskf_{obs}_{tgt}.csv",
-            ["t_s", "px_m", "py_m", "pz_m", "vx_ms", "vy_ms", "vz_ms",
-             "qw", "qx", "qy", "qz"] + [f"P{i}{i}" for i in range(12)],
-            rows,
-        )
-    for rid, ser in result.pgo.items():
-        rows = [(t, *p.t, *quat_from_rotmat(p.R)) for t, p in zip(ser.t, ser.poses)]
-        _write_csv(
-            out / f"pgo_robot{rid}.csv",
-            ["t_s", "px_m", "py_m", "pz_m", "qw", "qx", "qy", "qz"],
-            rows,
-        )
+    pose_cols = ["t_s", "px_m", "py_m", "pz_m", "qw", "qx", "qy", "qz"]
+    filter_cols = pose_cols[:4] + ["vx_ms", "vy_ms", "vz_ms"] + pose_cols[4:]
+    filter_cols += [f"P{i}{i}" for i in range(12)]
+    for (obs, tgt), s in result.raw.items():
+        _write_csv(out / f"raw_{obs}_{tgt}.csv", pose_cols, (s.t, s.p, s.q))
+    for (obs, tgt), s in result.eskf.items():
+        _write_csv(out / f"eskf_{obs}_{tgt}.csv", filter_cols, (s.t, s.p, s.v, s.q, s.P_diag))
+    for rid, s in result.pgo.items():
+        _write_csv(out / f"pgo_robot{rid}.csv", pose_cols, (s.t, s.p, s.q))
     (out / "metrics.json").write_text(json.dumps(result.metrics, indent=2, sort_keys=True) + "\n")
     manifest = {
         "seed": result.config.seed,

@@ -8,7 +8,7 @@ one error row per sample from `np.linalg.norm` and `np.trace`.
 
 import numpy as np
 
-from relpose.geom import quat_from_euler_zyx, rotmat_from_quat
+from relpose.geom import quat_from_euler_zyx, rotmat_from_quat, rotmats_from_quats
 from relpose.metrics import boxplot_stats
 from relpose.trajectory import OutOfDomain, TrajectoryState
 
@@ -92,9 +92,9 @@ def error_series_per_sample(result, ser, obs: int, tgt: int) -> np.ndarray:
     """Rows of (t, position error, rotation error) of one recorded series, truth per sample."""
     specs = {rid: spec for rid, (spec, _) in result.world.robots.items()}
     rows = []
-    for t, e in zip(ser.t, ser.poses):
+    for t, est_p, est_R in zip(ser.t, ser.p, rotmats_from_quats(ser.q)):
         p, R = relative_truth_scalar(specs[obs], specs[tgt], t)
-        rows.append((t, float(np.linalg.norm(e.t - p)), rotation_angle_deg_scalar(R.T @ e.R)))
+        rows.append((t, float(np.linalg.norm(est_p - p)), rotation_angle_deg_scalar(R.T @ est_R)))
     return np.array(rows)
 
 

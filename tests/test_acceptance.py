@@ -16,7 +16,6 @@ from relpose.checks import check_jacobians
 from relpose.eskf import FilterConfig, ImuPairInput, RelativePoseFilter
 from relpose.geom import (
     euler_zyx_from_quat,
-    quat_angle_between,
     quat_from_euler_zyx,
     quat_from_rotmat,
     quat_from_rotvec,
@@ -27,6 +26,7 @@ from relpose.rawpose import MutualObservation, RawPoseMeasurement, raw_estimate
 from relpose.runner import run_scenario, write_outputs
 from relpose.scenario import config_from_dict
 from relpose.trajectory import eval_trajectory
+from quat_helpers import quat_angle_between
 
 GRAV = np.array([0.0, 0.0, -9.81])
 
@@ -281,9 +281,9 @@ def test_occlusion_recovery_through_graph():
             blocked_frac = float(np.mean([blocked(k * 0.01) for k in range(801)]))
         res = run_scenario(cfg)
         ser = res.pgo[1]
-        for t, pose in zip(ser.t, ser.poses):
+        for t, p in zip(ser.t, ser.p):
             p_gt, _ = res.world.relative_truth(0, 1, t)
-            err = float(np.linalg.norm(pose.t - p_gt))
+            err = float(np.linalg.norm(p - p_gt))
             (occ_err if blocked(t) else unocc_err).append(err)
     med_occ = float(np.median(occ_err)) if occ_err else np.inf
     med_unocc = float(np.median(unocc_err))
@@ -333,9 +333,9 @@ def test_aggressive_attitude_bounded_error():
     res = run_scenario(cfg)
     ser = res.eskf[(0, 1)]
     errs = []
-    for t, pose in zip(ser.t, ser.poses):
+    for t, p in zip(ser.t, ser.p):
         p_gt, _ = res.world.relative_truth(0, 1, t)
-        errs.append(float(np.linalg.norm(pose.t - p_gt)))
+        errs.append(float(np.linalg.norm(p - p_gt)))
     errs = np.array(errs)
     median = float(np.median(errs))
     worst = float(np.max(errs))
@@ -363,10 +363,10 @@ def test_codec_round_trip_with_flips():
     rng = np.random.default_rng(2)
     rate = 200.0
     failures = []
-    for id_ in lib.ids:
+    for id_, duty in lib.entries:
         phase = rng.uniform(0, lib.period)
         n = int(3 * lib.period * rate)
-        lit = [lit_at(k / rate, lib.duty_of(id_), lib.period, phase) for k in range(n + 1)]
+        lit = [lit_at(k / rate, duty, lib.period, phase) for k in range(n + 1)]
         per = int(round(rate * lib.period))
         for p in range(3):  # one corrupted sample per period
             k = p * per + int(rng.integers(per))

@@ -9,9 +9,7 @@ from relpose.codec import (
     UnknownId,
     associate_spots,
     decode_id,
-    encode_schedule,
     lit_at,
-    sample_schedule,
 )
 
 RNG = np.random.default_rng(99)
@@ -37,7 +35,7 @@ def make_track(id_, lib, rate, n_periods, phase=0.0, flips_per_period=0):
 def test_library_defaults():
     lib = IdLibrary()
     assert lib.period == 0.05
-    assert lib.ids == list(range(8))
+    assert [id_ for id_, _ in lib.entries] == list(range(8))
     assert lib.duty_of(0) == pytest.approx(0.1)
     assert lib.duty_of(7) == pytest.approx(0.8)
     with pytest.raises(UnknownId):
@@ -53,12 +51,15 @@ def test_library_rejects_crowded_duties():
         IdLibrary(period=0.0)
 
 
-def test_encode_schedule_shape():
+def test_lit_at_on_window_each_period():
     lib = IdLibrary()
-    sched = encode_schedule(3, lib, 0.5)
-    assert len(sched) == 10
-    for on, off in sched:
-        assert off - on == pytest.approx(lib.duty_of(3) * lib.period)
+    duty = lib.duty_of(3)
+    for k in range(10):
+        t_on = k * lib.period
+        assert lit_at(t_on + 1e-6, duty, lib.period)
+        assert lit_at(t_on + duty * lib.period - 1e-6, duty, lib.period)
+        assert not lit_at(t_on + duty * lib.period + 1e-6, duty, lib.period)
+        assert not lit_at(t_on + lib.period - 1e-6, duty, lib.period)
 
 
 def test_lit_at_duty_fraction():
@@ -69,33 +70,16 @@ def test_lit_at_duty_fraction():
         assert frac == pytest.approx(duty, abs=1e-3)
 
 
-def test_sample_schedule_matches_lit_at():
-    lib = IdLibrary()
-    sched = encode_schedule(5, lib, 1.0)
-    # offset keeps samples away from on/off edges where float rounding
-    # could legitimately flip the comparison
-    times = np.arange(0, 0.99, 1 / 200) + 0.0013
-    lit = sample_schedule(sched, times)
-    expect = [lit_at(t, lib.duty_of(5), lib.period) for t in times]
-    assert lit == expect
-
-
-def test_sample_schedule_rejects_unsorted():
-    lib = IdLibrary()
-    with pytest.raises(ValueError):
-        sample_schedule(encode_schedule(0, lib, 1.0), [0.1, 0.05])
-
-
 def test_decode_clean_all_ids():
     lib = IdLibrary()
-    for id_ in lib.ids:
+    for id_, _ in lib.entries:
         track = make_track(id_, lib, rate=200.0, n_periods=3)
         assert decode_id(track, lib) == id_
 
 
 def test_decode_with_phase_offset():
     lib = IdLibrary()
-    for id_ in lib.ids:
+    for id_, _ in lib.entries:
         phase = RNG.uniform(0, lib.period)
         track = make_track(id_, lib, rate=200.0, n_periods=4, phase=phase)
         assert decode_id(track, lib) == id_
@@ -124,7 +108,7 @@ def test_decode_garbage_returns_none():
 
 def test_decode_survives_one_flip_per_period():
     lib = IdLibrary()
-    for id_ in lib.ids:
+    for id_, _ in lib.entries:
         track = make_track(id_, lib, rate=200.0, n_periods=4, phase=0.013, flips_per_period=1)
         assert decode_id(track, lib) == id_
 
@@ -190,3 +174,16 @@ def test_tracker_drops_stale_tracks():
     assert len(tracker.tracks) == 1
     tracker.step(1.0, [])  # way past 3 periods
     assert len(tracker.tracks) == 0
+
+
+def test_decoded_track_keeps_only_its_last_sample():
+    lib = IdLibrary()
+    tracker = SpotTracker(lib)
+    rate = 200.0
+    for k in range(2000):
+        t = k / rate
+        lit = lit_at(t, lib.duty_of(4), lib.period)
+        decoded = tracker.step(t, [(320.0, 240.0, lit)])
+    assert decoded == {4: 0}
+    (track,) = tracker.tracks.values()
+    assert track.samples == [(t, (320.0, 240.0), lit)]

@@ -24,7 +24,6 @@ from relpose.eskf import (
     update,
 )
 from relpose.geom import (
-    quat_angle_between,
     quat_from_euler_zyx,
     quat_from_rotvec,
     quat_mul,
@@ -32,6 +31,7 @@ from relpose.geom import (
     rotmat_from_quat,
 )
 from relpose.rawpose import RawPoseMeasurement
+from quat_helpers import quat_angle_between
 
 RNG = np.random.default_rng(555)
 GRAV = np.array([0.0, 0.0, -9.81])

@@ -1,63 +1,46 @@
 import numpy as np
 import pytest
 
-from relpose.geom import Pose, rotmat_from_rotvec
-from relpose.metrics import (
-    InsufficientOverlap,
-    TrajectoryPair,
-    ate_pos,
-    ate_rot,
-    boxplot_stats,
-    error_series,
-)
+from relpose.geom import rotmat_from_rotvec
+from relpose.metrics import AlignedPair, boxplot_stats, error_series, summarize
 
 
-def make_pair(offsets, angles_deg, t0=0.0, gt_shift=0.0):
+def make_pair(offsets, angles_deg):
+    """Estimates off a fixed truth by x offsets [m] and yaw angles [deg]."""
     n = len(offsets)
-    ts = np.arange(n) * 0.1 + t0
-    gt = [Pose(np.eye(3), np.array([1.0, 2.0, 3.0])) for _ in range(n)]
-    est = [
-        Pose(
-            rotmat_from_rotvec(np.deg2rad(a) * np.array([0, 0, 1.0])),
-            np.array([1.0 + d, 2.0, 3.0]),
-        )
-        for d, a in zip(offsets, angles_deg)
-    ]
-    return TrajectoryPair(est_t=ts, est=est, gt_t=ts + gt_shift, gt=gt)
+    gt_p = np.tile([1.0, 2.0, 3.0], (n, 1))
+    est_p = gt_p + np.column_stack((offsets, np.zeros(n), np.zeros(n)))
+    est_R = np.array([rotmat_from_rotvec([0.0, 0.0, np.deg2rad(a)]) for a in angles_deg])
+    return AlignedPair(np.arange(n) * 0.1, est_p, est_R, gt_p, np.tile(np.eye(3), (n, 1, 1)))
 
 
 def test_error_series_values():
-    pair = make_pair([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
-    s = error_series(pair)
+    s = error_series(make_pair([0.1, 0.2, 0.3], [1.0, 2.0, 3.0]))
+    assert np.array_equal(s[:, 0], [0.0, 0.1, 0.2])
     assert np.allclose(s[:, 1], [0.1, 0.2, 0.3], atol=1e-12)
     assert np.allclose(s[:, 2], [1.0, 2.0, 3.0], atol=1e-9)
 
 
 def test_ate_pos_is_rms():
-    pair = make_pair([0.3, 0.4], [0.0, 0.0])
-    assert ate_pos(pair) == pytest.approx(np.sqrt((0.09 + 0.16) / 2))
+    m = summarize(error_series(make_pair([0.3, 0.4], [0.0, 0.0])))
+    assert m["ate_pos_m"] == pytest.approx(np.sqrt((0.09 + 0.16) / 2))
+    assert m["median_pos_m"] == pytest.approx(0.35)
 
 
 def test_ate_rot_is_rms():
-    pair = make_pair([0.0, 0.0], [3.0, 4.0])
-    assert ate_rot(pair) == pytest.approx(np.sqrt((9 + 16) / 2), abs=1e-9)
+    m = summarize(error_series(make_pair([0.0, 0.0], [3.0, 4.0])))
+    assert m["ate_rot_deg"] == pytest.approx(np.sqrt((9 + 16) / 2), abs=1e-9)
+    assert m["median_rot_deg"] == pytest.approx(3.5, abs=1e-9)
 
 
-def test_matching_within_tolerance():
-    pair = make_pair([0.1] * 5, [0.0] * 5, gt_shift=0.004)
-    assert len(pair.matched()) == 5
-    pair_far = make_pair([0.1] * 5, [0.0] * 5, gt_shift=0.02)
-    with pytest.raises(InsufficientOverlap):
-        pair_far.matched()
-
-
-def test_matching_picks_nearest():
-    gt_t = np.array([0.0, 0.1, 0.2])
-    gt = [Pose(np.eye(3), np.array([float(k), 0, 0])) for k in range(3)]
-    est = [Pose(np.eye(3), np.array([1.0, 0, 0])), Pose(np.eye(3), np.array([2.0, 0, 0]))]
-    pair = TrajectoryPair(est_t=np.array([0.101, 0.199]), est=est, gt_t=gt_t, gt=gt)
-    s = error_series(pair)
-    assert np.allclose(s[:, 1], 0.0)  # matched gt index 1 then 2
+def test_summarize_boxplots_on_request():
+    s = error_series(make_pair([0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0]))
+    plain, full = summarize(s), summarize(s, boxplots=True)
+    assert plain["n_samples"] == full["n_samples"] == 4
+    assert "boxplot_pos" not in plain
+    assert full["boxplot_pos"] == boxplot_stats(s[:, 1])
+    assert full["boxplot_rot"] == boxplot_stats(s[:, 2])
+    assert {k: full[k] for k in plain} == plain
 
 
 def test_boxplot_stats_basic():

@@ -4,7 +4,6 @@ import pytest
 from relpose.geom import (
     euler_zyx_from_quat,
     quat_from_euler_zyx,
-    quats_equal_as_rotations,
     quat_from_rotmat,
     rotmat_from_quat,
     wrap_angle,
@@ -19,6 +18,7 @@ from relpose.rawpose import (
     relative_rotation,
     relative_yaw,
 )
+from quat_helpers import quats_equal_as_rotations
 
 RNG = np.random.default_rng(2024)
 

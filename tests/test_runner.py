@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,7 +6,14 @@ import numpy as np
 import pytest
 
 import relpose.runner
-from relpose.runner import compute_metrics, export_ground_truth, run_scenario, write_outputs
+from relpose.geom import Pose, quat_normalize, rotmats_from_quats
+from relpose.runner import (
+    PoseSeries,
+    compute_metrics,
+    export_ground_truth,
+    run_scenario,
+    write_outputs,
+)
 from relpose.scenario import config_from_dict
 from relpose.world import MessageBus, World
 from scalar_reference import compute_metrics_per_sample, error_series_per_sample
@@ -72,16 +80,16 @@ def test_run_pgo_four_robots():
 def test_same_seed_reproduces_exactly():
     a = run_scenario(small_config())
     b = run_scenario(small_config())
-    assert a.raw[(0, 1)].t == b.raw[(0, 1)].t
-    for pa, pb in zip(a.eskf[(0, 1)].poses, b.eskf[(0, 1)].poses):
-        assert np.array_equal(pa.t, pb.t)
-        assert np.array_equal(pa.R, pb.R)
+    assert np.array_equal(a.raw[(0, 1)].t, b.raw[(0, 1)].t)
+    sa, sb = a.eskf[(0, 1)], b.eskf[(0, 1)]
+    for name in ("t", "p", "q", "v", "P_diag"):
+        assert np.array_equal(getattr(sa, name), getattr(sb, name))
 
 
 def test_different_seed_differs():
     a = run_scenario(small_config())
     b = run_scenario(small_config(seed=14))
-    assert not np.array_equal(a.eskf[(0, 1)].poses[-1].t, b.eskf[(0, 1)].poses[-1].t)
+    assert not np.array_equal(a.eskf[(0, 1)].p[-1], b.eskf[(0, 1)].p[-1])
 
 
 def test_write_outputs_files(tmp_path):
@@ -224,5 +232,50 @@ def test_singular_innovation_skips_one_update(monkeypatch):
     t_bad, prior = calls[39], calls[40]
     ser = res.eskf[(0, 1)]
     assert max(ser.t) > t_bad + 0.5  # the run went on past the bad tick
-    k = ser.t.index(t_bad)  # that tick is recorded, from the prior
-    assert np.array_equal(ser.poses[k].t, prior.p)
+    (k,) = np.flatnonzero(ser.t == t_bad)  # that tick is recorded, from the prior
+    assert np.array_equal(ser.p[k], prior.p)
+
+
+def _csv_table(path: Path) -> np.ndarray:
+    header, *lines = path.read_text().splitlines()
+    rows = [[float(x) for x in line.split(",")] for line in lines]
+    return np.array(rows, dtype=float).reshape(len(lines), header.count(",") + 1)
+
+
+def test_metrics_recompute_from_written_columns(tmp_path):
+    cfg = config_from_dict(json.loads((SCENARIOS / "four_robot_pgo.json").read_text()))
+    cfg.duration = 2.0
+    res = run_scenario(cfg)
+    write_outputs(res, tmp_path)
+
+    def series(name, q_cols):
+        a = _csv_table(tmp_path / name)
+        return PoseSeries(t=a[:, 0], p=a[:, 1:4], q=a[:, q_cols])
+
+    from_csv = dataclasses.replace(
+        res,
+        raw={(o, g): series(f"raw_{o}_{g}.csv", slice(4, 8)) for o, g in res.raw},
+        eskf={(o, g): series(f"eskf_{o}_{g}.csv", slice(7, 11)) for o, g in res.eskf},
+        pgo={rid: series(f"pgo_robot{rid}.csv", slice(4, 8)) for rid in res.pgo},
+    )
+    written = json.loads((tmp_path / "metrics.json").read_text())
+    assert all(written[group] for group in ("pairs", "raw", "pgo"))
+    assert compute_metrics(from_csv) == written
+
+
+def test_series_poses_view_reads_and_writes_p_and_q():
+    rng = np.random.default_rng(5)
+    q = np.array([quat_normalize(x) for x in rng.normal(size=(4, 4))])
+    q[q[:, 0] < 0] *= -1
+    ser = PoseSeries(t=np.arange(4) * 0.1, p=rng.normal(size=(4, 3)), q=q)
+    poses = ser.poses
+    R = rotmats_from_quats(q)
+    assert len(poses) == 4
+    for k, pose in enumerate(poses):
+        assert np.array_equal(pose.t, ser.p[k]) and np.array_equal(pose.R, R[k])
+    p = ser.p + [0.0, 0.0, 1.0]
+    ser.poses = [Pose(x.R, x.t + [0.0, 0.0, 1.0]) for x in poses]
+    assert np.array_equal(ser.p, p)
+    assert np.allclose(ser.q, q, rtol=0.0, atol=1e-15)
+    ser.poses = []
+    assert ser.p.shape == (0, 3) and ser.q.shape == (0, 4)

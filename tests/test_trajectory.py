@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relpose.geom import quat_angle_between, quat_conj, quat_mul, rotvec_from_quat
+from relpose.geom import quat_conj, quat_mul, rotvec_from_quat
 from relpose.trajectory import (
     AttitudeProfile,
     OutOfDomain,
