@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from .eskf import FilterConfig, ImuPairInput, RelativePoseFilter
+from .eskf import ImuPairInput, RelativePoseFilter
 from .geom import Pose, quat_from_rotvec, rotmat_from_rotvec
 from .pgo import Edge, PoseGraph, solve
 from .rawpose import MutualObservation, RawPoseMeasurement, raw_estimate
@@ -37,7 +37,7 @@ def bench(reps: int = 1000, seed: int = 0) -> dict[str, dict[str, float]]:
     )
     out = {"raw_estimate": _timeit(lambda: raw_estimate(obs), reps)}
 
-    f = RelativePoseFilter(FilterConfig())
+    f = RelativePoseFilter()
     z = RawPoseMeasurement(
         p_ba=np.array([3.0, 1.0, 0.2]),
         p_ab=np.array([-3.0, -1.0, -0.2]),
@@ -78,7 +78,7 @@ def bench(reps: int = 1000, seed: int = 0) -> dict[str, dict[str, float]]:
 
     def pgo_solve():
         g = PoseGraph(ego=0, nodes=dict(nodes), edges=list(edges))
-        solve(g, max_iters=25)
+        solve(g)
 
     out["pgo_5robot"] = _timeit(pgo_solve, max(reps // 4, 100))
     return out

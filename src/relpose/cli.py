@@ -29,7 +29,6 @@ def _cmd_run(args) -> int:
         return 2
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.noise.seed = args.seed
     result = run_scenario(cfg)
     out = Path(args.out) if args.out else Path("out")
     config_dict = json.loads(Path(args.config).read_text())
@@ -67,7 +66,6 @@ def _cmd_export_gt(args) -> int:
         return 2
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.noise.seed = args.seed
     out = Path(args.out) if args.out else Path("out")
     out.mkdir(parents=True, exist_ok=True)
     export_ground_truth(build_world(cfg), cfg.duration, out)

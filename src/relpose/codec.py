@@ -54,6 +54,7 @@ class IdLibrary:
 
 
 MIN_PERIODS = 3  # whole periods a track must span before decoding
+GATE_PX = 25.0  # farthest a spot moves between two frames and keeps its track
 
 
 @dataclass
@@ -136,11 +137,9 @@ def decode_id(track: SpotTrack, lib: IdLibrary) -> int | None:
 
 
 def associate_spots(
-    prev: list[tuple[int, tuple[float, float]]],
-    curr: list[tuple[float, float]],
-    gate: float = 25.0,
+    prev: list[tuple[int, tuple[float, float]]], curr: list[tuple[float, float]]
 ) -> list[tuple[int | None, tuple[float, float]]]:
-    """Greedy one-to-one nearest-neighbor matching under a pixel gate.
+    """Greedy one-to-one nearest-neighbor matching within GATE_PX pixels.
 
     Returns (track_id, pixel) per current detection; track_id is None for
     detections that open a new track. Result order is sorted by pixel so the
@@ -151,7 +150,7 @@ def associate_spots(
     for ci, c in enumerate(curr_sorted):
         for tid, p in prev:
             d = np.hypot(c[0] - p[0], c[1] - p[1])
-            if d <= gate:
+            if d <= GATE_PX:
                 pairs.append((d, ci, tid))
     pairs.sort()
     used_c: set[int] = set()
@@ -172,9 +171,8 @@ class SpotTracker:
     Single-threaded by design; one instance per observing robot.
     """
 
-    def __init__(self, lib: IdLibrary, gate: float = 25.0):
+    def __init__(self, lib: IdLibrary):
         self.lib = lib
-        self.gate = gate
         self.tracks: dict[int, SpotTrack] = {}
         self._next_id = 0
         self._stale_after = 3.0 * lib.period
@@ -185,7 +183,7 @@ class SpotTracker:
         Returns {beacon_id: track_id} for every currently decoded track.
         """
         prev = [(tid, tr.last_pixel) for tid, tr in self.tracks.items()]
-        matches = associate_spots(prev, [(u, v) for u, v, _ in detections], self.gate)
+        matches = associate_spots(prev, [(u, v) for u, v, _ in detections])
         lit_by_pixel = {(u, v): lit for u, v, lit in detections}
         for tid, pixel in matches:
             if tid is None:

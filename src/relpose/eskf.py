@@ -19,7 +19,7 @@ the manifold).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +29,22 @@ from .rawpose import RawPoseMeasurement
 # chi^2 inverse CDF at 0.999 with 9 dof, for innovation gating
 CHI2_9_999 = 27.877164871256568
 
+# input-noise covariance of [a_nA, w_nA, a_nB, w_nB], discretized for dt = 0.01 s:
+# accel 183.3 ug/sqrt(Hz), gyro 0.021 (deg/s)/sqrt(Hz)
+_SA2 = (183.3e-6 * 9.81) ** 2 / 0.01
+_SW2 = np.deg2rad(0.021) ** 2 / 0.01
+QI = np.diag([_SA2] * 3 + [_SW2] * 3 + [_SA2] * 3 + [_SW2] * 3)
+
+# error covariance at initialization from a raw measurement
+INIT_P = np.diag([0.25] * 3 + [0.1] * 3 + [np.deg2rad(5.0) ** 2] * 6)
+
+# measurement noise: sigma max(0.05, 0.02 * range) m on the six position
+# components, ROT_SIGMA on the rotation residual, uncorrelated
+ROT_SIGMA = np.deg2rad(1.5)
+
 
 class SingularInnovation(np.linalg.LinAlgError):
-    """HPH' + V not invertible; V must be positive definite."""
+    """HPH' + V not invertible."""
 
 
 @dataclass
@@ -65,41 +78,9 @@ class ImuPairInput:
         self.w_mb = np.asarray(self.w_mb, dtype=float)
 
 
-def default_V(range_m: float = 1.0) -> np.ndarray:
-    """Measurement covariance: UWB + range-scaled bearing noise, 1.5 deg rot."""
-    sp = max(0.05, 0.02 * range_m)
-    sr = np.deg2rad(1.5)
-    return np.diag([sp**2] * 6 + [sr**2] * 3)
-
-
-def default_Qi(
-    accel_density: float = 183.3e-6 * 9.81,  # m/s^2/sqrt(Hz)
-    gyro_density: float = np.deg2rad(0.021),  # rad/s/sqrt(Hz)
-    dt: float = 0.01,
-) -> np.ndarray:
-    """Input-noise covariance of [a_nA, w_nA, a_nB, w_nB] (discrete sigmas)."""
-    sa2 = accel_density**2 / dt
-    sw2 = gyro_density**2 / dt
-    return np.diag([sa2] * 3 + [sw2] * 3 + [sa2] * 3 + [sw2] * 3)
-
-
-def default_init_P() -> np.ndarray:
-    s_ang = np.deg2rad(5.0)
-    return np.diag([0.25] * 3 + [0.1] * 3 + [s_ang**2] * 6)
-
-
-@dataclass
-class FilterConfig:
-    Qi: np.ndarray = field(default_factory=default_Qi)
-    V: np.ndarray = field(default_factory=default_V)
-    init_P: np.ndarray = field(default_factory=default_init_P)
-    gate_chi2: float | None = CHI2_9_999  # None disables gating
-    range_scaled_V: bool = True  # rebuild position blocks of V from range
-
-
-def init_from_raw(z: RawPoseMeasurement, cfg: FilterConfig) -> tuple[NominalState, ErrorBelief]:
+def init_from_raw(z: RawPoseMeasurement) -> tuple[NominalState, ErrorBelief]:
     state = NominalState(p=z.p_ba.copy(), v=np.zeros(3), q=z.q_ba.copy(), t=z.t)
-    return state, ErrorBelief(np.zeros(12), cfg.init_P.copy())
+    return state, ErrorBelief(np.zeros(12), INIT_P.copy())
 
 
 # -- float-level kernel ------------------------------------------------------
@@ -271,7 +252,7 @@ def _linearize(state: NominalState, u: ImuPairInput) -> tuple:
 
 
 def predict(
-    state: NominalState, belief: ErrorBelief, u: ImuPairInput, cfg: FilterConfig
+    state: NominalState, belief: ErrorBelief, u: ImuPairInput
 ) -> tuple[NominalState, ErrorBelief]:
     """Propagate nominal state and error covariance over one IMU interval."""
     dt = u.dt
@@ -287,7 +268,7 @@ def predict(
     q = _qsandwich(dq_b, state.q.tolist(), dq_a)
     PQ = np.zeros((24, 24))
     PQ[:12, :12] = belief.P
-    PQ[12:, 12:] = cfg.Qi
+    PQ[12:, 12:] = QI
     P = F @ PQ @ F.T  # Fx P Fx' + Fi Qi Fi'
     delta = F[:, :12] @ belief.delta_mean  # zero in steady operation
     return (
@@ -356,9 +337,7 @@ def innovation(state: NominalState, z: RawPoseMeasurement) -> np.ndarray:
     return _innovation(q, p, Rq_T_p, z)
 
 
-def update(
-    state: NominalState, belief: ErrorBelief, z: RawPoseMeasurement, cfg: FilterConfig
-) -> ErrorBelief:
+def update(state: NominalState, belief: ErrorBelief, z: RawPoseMeasurement) -> ErrorBelief:
     """Kalman correction; returns belief with populated delta_mean.
 
     Raises SingularInnovation when HPH'+V is not invertible. Returns the
@@ -369,20 +348,16 @@ def update(
     y = _innovation(q, p, Rq_T_p, z)
     HP = H @ belief.P
     S = HP @ H.T
-    if cfg.range_scaled_V:
-        # V with its position block replaced by sp^2 I, added block by block
-        x, yy, zz = z.p_ba.tolist()
-        S.flat[0:60:10] += max(0.05, 0.02 * math.sqrt(x * x + yy * yy + zz * zz)) ** 2
-        S[0:6, 6:9] += cfg.V[0:6, 6:9]
-        S[6:9] += cfg.V[6:9]
-    else:
-        S += cfg.V
+    # + V, diagonal: range-scaled position noise, then rotation noise
+    x, yy, zz = z.p_ba.tolist()
+    S.flat[0:60:10] += max(0.05, 0.02 * math.sqrt(x * x + yy * yy + zz * zz)) ** 2
+    S.flat[60::10] += ROT_SIGMA**2
     try:
         # one factorization of S for both S^-1 y and S^-1 HP
         X = np.linalg.solve(S, np.column_stack((y, HP)))
     except np.linalg.LinAlgError as e:
         raise SingularInnovation(str(e)) from e
-    if cfg.gate_chi2 is not None and float(y @ X[:, 0]) > cfg.gate_chi2:
+    if float(y @ X[:, 0]) > CHI2_9_999:
         return belief
     K = X[:, 1:].T  # = P H' S^-1
     P = belief.P - K @ HP
@@ -450,8 +425,7 @@ def true_state(state: NominalState, belief: ErrorBelief) -> NominalState:
 class RelativePoseFilter:
     """Convenience wrapper serializing predict/update for one neighbor."""
 
-    def __init__(self, cfg: FilterConfig | None = None):
-        self.cfg = cfg if cfg is not None else FilterConfig()
+    def __init__(self):
         self.state: NominalState | None = None
         self.belief: ErrorBelief | None = None
 
@@ -462,11 +436,11 @@ class RelativePoseFilter:
     def process_imu(self, u: ImuPairInput) -> None:
         if self.state is None:
             return
-        self.state, self.belief = predict(self.state, self.belief, u, self.cfg)
+        self.state, self.belief = predict(self.state, self.belief, u)
 
     def process_measurement(self, z: RawPoseMeasurement) -> None:
         if self.state is None:
-            self.state, self.belief = init_from_raw(z, self.cfg)
+            self.state, self.belief = init_from_raw(z)
             return
-        self.belief = update(self.state, self.belief, z, self.cfg)
+        self.belief = update(self.state, self.belief, z)
         self.state, self.belief = inject_and_reset(self.state, self.belief)

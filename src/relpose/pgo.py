@@ -28,6 +28,10 @@ _EYE3 = np.eye(3)
 _DIAG4 = np.arange(4)
 _SMALL_ANGLE = (1.0, 0.5, 0.5, 0.0)  # the se3_exp coefficients below 1e-8 rad
 
+HUBER_DELTA = 0.5  # residual r2 above which an edge's loss turns linear in sqrt(r2)
+MAX_ITERS = 25  # LM iterations per solve
+REL_TOL = 1e-10  # converged when an accepted step lowers the cost by less than this fraction
+
 
 @dataclass
 class Edge:
@@ -42,7 +46,6 @@ class PoseGraph:
     ego: int
     nodes: dict[int, Pose]
     edges: list[Edge] = field(default_factory=list)
-    huber_delta: float = 0.5
 
     def __post_init__(self):
         if self.ego not in self.nodes:
@@ -168,11 +171,7 @@ def _retract(T: np.ndarray, step: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve(
-    graph: PoseGraph,
-    max_iters: int = 50,
-    rel_tol: float = 1e-12,
-) -> tuple[dict[int, Pose], SolveReport]:
+def solve(graph: PoseGraph) -> tuple[dict[int, Pose], SolveReport]:
     """LM over the free (non-ego) poses; ego stays pinned to identity.
 
     Returns optimized poses and a report. Nodes unreachable from the ego
@@ -199,7 +198,7 @@ def solve(
         weight=np.array([e.weight for e in edge_list], dtype=float),
     )
     rows = np.arange(len(edge_list))
-    delta = graph.huber_delta
+    delta = HUBER_DELTA
 
     N, E, r2 = _residuals(T, edges)
     cost = _robust_cost(r2, delta)
@@ -207,7 +206,7 @@ def solve(
     lam = 1e-6
     converged = False
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         # analytic Jacobians of every edge w.r.t. X_i <- X_i Exp(eps) and
         # X_j <- X_j Exp(eps): dE = M G_k and dE = -T_hat G_k N, M = T_hat N
         M = E.copy()
@@ -246,7 +245,7 @@ def solve(
         if not accepted:
             converged = True  # no descent direction left
             break
-        if improvement <= rel_tol * max(cost, 1e-300) or cost < 1e-24:
+        if improvement <= REL_TOL * max(cost, 1e-300) or cost < 1e-24:
             converged = True
             break
 
@@ -257,12 +256,7 @@ def solve(
     return poses, SolveReport(initial_cost, cost, it, converged, excluded)
 
 
-def edges_from_filters(
-    ego: int,
-    estimates: dict[tuple[int, int], Pose],
-    weights: dict[tuple[int, int], float] | None = None,
-    huber_delta: float = 0.5,
-) -> PoseGraph:
+def edges_from_filters(ego: int, estimates: dict[tuple[int, int], Pose]) -> PoseGraph:
     """Build an ego-frame graph from pairwise estimates.
 
     estimates[(i, j)] is the pose of robot j in robot i's frame (the output
@@ -271,9 +265,7 @@ def edges_from_filters(
     available edge path from the ego.
     """
     nodes: dict[int, Pose] = {ego: Pose.identity()}
-    edges = [
-        Edge(i, j, T, (weights or {}).get((i, j), 1.0)) for (i, j), T in estimates.items()
-    ]
+    edges = [Edge(i, j, T) for (i, j), T in estimates.items()]
     # init by BFS composition from ego
     adj: dict[int, list[tuple[int, Pose]]] = {}
     for (i, j), T in estimates.items():
@@ -286,7 +278,7 @@ def edges_from_filters(
             if nb not in nodes:
                 nodes[nb] = nodes[cur].compose(T)
                 frontier.append(nb)
-    return PoseGraph(ego=ego, nodes=nodes, edges=edges, huber_delta=huber_delta)
+    return PoseGraph(ego=ego, nodes=nodes, edges=edges)
 
 
 def dump_graph(graph: PoseGraph) -> str:
@@ -306,7 +298,7 @@ def dump_graph(graph: PoseGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_graph(text: str, huber_delta: float = 0.5) -> PoseGraph:
+def load_graph(text: str) -> PoseGraph:
     from .geom import rotmat_from_quat
 
     ego = None
@@ -332,4 +324,4 @@ def load_graph(text: str, huber_delta: float = 0.5) -> PoseGraph:
             raise ValueError(f"unrecognized graph line: {line!r}")
     if ego is None:
         raise ValueError("graph dump missing EGO line")
-    return PoseGraph(ego=ego, nodes=nodes, edges=edges, huber_delta=huber_delta)
+    return PoseGraph(ego=ego, nodes=nodes, edges=edges)

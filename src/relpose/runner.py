@@ -107,6 +107,7 @@ def build_world(cfg: ScenarioConfig) -> World:
         imu_rate=cfg.imu_rate,
         cam_rate=cfg.cam_rate,
         uwb_rate=cfg.uwb_rate,
+        seed=cfg.seed,
     )
 
 
@@ -144,7 +145,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     run_eskf = cfg.estimator in ("eskf", "pgo")
     run_pgo = cfg.estimator == "pgo"
 
-    bus = MessageBus(seed=cfg.seed ^ 0x5BD1E995, consumers=ids)
+    bus = MessageBus(ids, seed=cfg.seed ^ 0x5BD1E995)
     trackers = {rid: SpotTracker(world.lib) for rid in ids}
     filters = {pair: RelativePoseFilter() for pair in pairs}
     last_imu: dict[int, tuple] = {}
@@ -259,7 +260,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                         estimates[(obs, tgt)] = Pose(rotmat_from_quat(f.state.q), f.state.p)
                 if estimates:
                     graph = edges_from_filters(cfg.ego, estimates)
-                    poses, report = solve(graph, max_iters=25, rel_tol=1e-10)
+                    poses, report = solve(graph)
                     pgo_converged.append(report.converged)
                     for rid, pose in poses.items():
                         if rid != cfg.ego and rid in pgo_rows:

@@ -4,7 +4,7 @@ Schema (JSON, ``version: 1``) — all fields with defaults may be omitted:
 
     {
       "version": 1,
-      "seed": 42,
+      "seed": 42,                  // seeds the sensor noise and the message bus
       "duration": 10.0,            // seconds
       "ego": 0,                    // observer whose frame PGO fixes
       "estimator": "eskf",         // "raw" | "eskf" | "pgo"
@@ -129,8 +129,6 @@ def config_from_dict(d: dict) -> ScenarioConfig:
         noise = NoiseParams(**d.get("noise", {}))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"noise: {e}") from e
-    if "seed" in d:
-        noise.seed = int(d["seed"])
     try:
         camera = DsIntrinsics(**d["camera"]) if "camera" in d else DEFAULT_INTRINSICS
     except (TypeError, ValueError) as e:

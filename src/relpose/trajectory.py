@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 class OutOfDomain(ValueError):
@@ -76,6 +75,8 @@ class TrajectorySpec:
                 raise ValueError("waypoints kind needs at least 2 waypoints")
             ts = np.array([t for t, _ in self.waypoints])
             ps = np.array([p for _, p in self.waypoints])
+            from scipy.interpolate import CubicSpline  # slow to import; only this kind needs it
+
             self._spline = CubicSpline(ts, ps, bc_type="clamped")
 
 

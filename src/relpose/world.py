@@ -36,7 +36,6 @@ class NoiseParams:
     uwb_sigma: float = 0.05  # m
     pixel_sigma: float = 1.0  # px
     attitude_rp_sigma: float = 0.2  # deg
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("accel_density", "gyro_density", "uwb_sigma", "pixel_sigma", "attitude_rp_sigma"):
@@ -123,14 +122,12 @@ class MessageBus:
     """In-process broadcast bus with fixed latency and i.i.d. loss.
 
     Per-sender delivery order is preserved. Polling is read-only per
-    consumer cursor, so concurrent pollers are safe. A bus that knows its
-    consumers drops the packets all of them have read, so its memory stays
-    bounded on long runs.
+    consumer cursor, so concurrent pollers are safe. The bus drops the
+    packets all its consumers have read, so its memory stays bounded on
+    long runs.
     """
 
-    def __init__(
-        self, latency: float = 0.0, loss_rate: float = 0.0, seed: int = 0, consumers=()
-    ):
+    def __init__(self, consumers, latency: float = 0.0, loss_rate: float = 0.0, seed: int = 0):
         if not (0.0 <= loss_rate <= 1.0):
             raise ValueError("loss_rate must be in [0, 1]")
         self.latency = latency
@@ -138,8 +135,7 @@ class MessageBus:
         self._rng = np.random.default_rng(seed)
         self._queue: list[tuple[float, int, object]] = []  # (deliver_at, sender, payload)
         self._base = 0  # packets dropped from the front of the queue
-        self._consumers = tuple(consumers)
-        self._cursor: dict[int, int] = dict.fromkeys(self._consumers, 0)
+        self._cursor: dict[int, int] = dict.fromkeys(consumers, 0)
 
     def publish(self, sender: int, t: float, payload) -> None:
         if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
@@ -148,9 +144,9 @@ class MessageBus:
 
     def poll(self, robot: int, t: float) -> list[tuple[int, object]]:
         """Packets from other robots that became available since last poll."""
-        if self._consumers and robot not in self._cursor:
+        if robot not in self._cursor:
             raise ValueError(f"robot {robot} is not a consumer of this bus")
-        start = self._cursor.get(robot, 0) - self._base
+        start = self._cursor[robot] - self._base
         out = []
         last = start
         for k in range(start, len(self._queue)):
@@ -161,11 +157,10 @@ class MessageBus:
             if sender != robot:
                 out.append((sender, payload))
         self._cursor[robot] = self._base + last
-        if self._consumers:
-            read = min(self._cursor.values()) - self._base
-            if read and 2 * read >= len(self._queue):  # amortized O(1) per packet
-                del self._queue[:read]
-                self._base += read
+        read = min(self._cursor.values()) - self._base
+        if read and 2 * read >= len(self._queue):  # amortized O(1) per packet
+            del self._queue[:read]
+            self._base += read
         return out
 
 
@@ -233,16 +228,16 @@ class World:
         noise: NoiseParams,
         intrinsics: DsIntrinsics = DEFAULT_INTRINSICS,
         obstacles: list[Obstacle] | None = None,
-        lib: IdLibrary | None = None,
         imu_rate: float = 100.0,
         cam_rate: float = 200.0,
         uwb_rate: float = 50.0,
+        seed: int = 0,
     ):
         self.robots = robots
         self.noise = noise
         self.k = intrinsics
         self.obstacles = obstacles or []
-        self.lib = lib if lib is not None else IdLibrary()
+        self.lib = IdLibrary()
         self.imu_rate, self.cam_rate, self.uwb_rate = imu_rate, cam_rate, uwb_rate
         self._master_rate = max(imu_rate, cam_rate, uwb_rate)
         for r in (imu_rate, cam_rate, uwb_rate):
@@ -252,7 +247,7 @@ class World:
         self._every = tuple(int(round(self._master_rate / r)) for r in (imu_rate, uwb_rate, cam_rate))
         # one independent child stream per robot per sensor: stable under
         # changes in query order
-        ss = np.random.SeedSequence(noise.seed)
+        ss = np.random.SeedSequence(seed)
         ids = sorted(robots)
         streams = ss.spawn(4 * len(ids))
         self._rng: dict[tuple[int, str], np.random.Generator] = {}

@@ -3,12 +3,13 @@
 `predict`, `update`, `inject_and_reset` and `solve` build every rotation
 through the `geom` helpers, assemble the filter Jacobians block by block and
 linearize each pose-graph edge in its own Python loop. They are the reference
-that the structured code in `relpose.eskf` and `relpose.pgo` must match.
+that the structured code in `relpose.eskf` and `relpose.pgo` must match, and
+they read the same noise, gate and solver constants from those modules.
 """
 
 import numpy as np
 
-from relpose.eskf import ErrorBelief, NominalState, SingularInnovation
+from relpose.eskf import CHI2_9_999, QI, ROT_SIGMA, ErrorBelief, NominalState, SingularInnovation
 from relpose.geom import (
     Pose,
     quat_conj,
@@ -21,7 +22,7 @@ from relpose.geom import (
     se3_exp,
     skew,
 )
-from relpose.pgo import _GEN, SolveReport, residual
+from relpose.pgo import _GEN, HUBER_DELTA, MAX_ITERS, REL_TOL, SolveReport, residual
 
 
 def compute_Fx(state, u, dt):
@@ -50,7 +51,7 @@ def compute_Fi(state, u, dt):
     return Fi
 
 
-def predict(state, belief, u, cfg):
+def predict(state, belief, u):
     dt = u.dt
     Rq = rotmat_from_quat(state.q)
     rel_acc = Rq @ u.a_ma - u.a_mb
@@ -64,7 +65,7 @@ def predict(state, belief, u, cfg):
     Fx = compute_Fx(state, u, dt)
     Fi = compute_Fi(state, u, dt)
     delta = Fx @ belief.delta_mean
-    P = Fx @ belief.P @ Fx.T + Fi @ cfg.Qi @ Fi.T
+    P = Fx @ belief.P @ Fx.T + Fi @ QI @ Fi.T
     P = 0.5 * (P + P.T)
     return NominalState(p, v, quat_normalize(q), state.t + dt), ErrorBelief(delta, P)
 
@@ -87,13 +88,10 @@ def innovation(state, z):
     return np.concatenate([z.p_ba - state.p, z.p_ab - (-Rq.T @ state.p), rot_res])
 
 
-def update(state, belief, z, cfg):
+def update(state, belief, z):
     H = compute_H(state)
-    V = cfg.V
-    if cfg.range_scaled_V:
-        V = V.copy()
-        sp2 = max(0.05, 0.02 * float(np.linalg.norm(z.p_ba))) ** 2
-        V[0:6, 0:6] = np.eye(6) * sp2
+    sp2 = max(0.05, 0.02 * float(np.linalg.norm(z.p_ba))) ** 2
+    V = np.diag([sp2] * 6 + [ROT_SIGMA**2] * 3)
     S = H @ belief.P @ H.T + V
     y = innovation(state, z)
     try:
@@ -101,7 +99,7 @@ def update(state, belief, z, cfg):
         Sinv_Ht = np.linalg.solve(S, H @ belief.P)
     except np.linalg.LinAlgError as e:
         raise SingularInnovation(str(e)) from e
-    if cfg.gate_chi2 is not None and float(y @ Sinv_y) > cfg.gate_chi2:
+    if float(y @ Sinv_y) > CHI2_9_999:
         return belief
     K = Sinv_Ht.T
     delta = K @ y
@@ -143,18 +141,18 @@ def _huber_weight(r2, delta):
     return 1.0 if s <= delta else delta / s
 
 
-def robust_cost(edges, poses, huber_delta):
+def robust_cost(edges, poses):
     """Sum over edges of Huber(weight * residual), one edge at a time."""
     c = 0.0
     for e in edges:
         r2 = e.weight * residual(poses[e.i], poses[e.j], e.T_hat)
         s = np.sqrt(max(r2, 0.0))
-        d = huber_delta
+        d = HUBER_DELTA
         c += r2 if s <= d else 2.0 * d * s - d * d
     return c
 
 
-def solve(graph, max_iters=50, rel_tol=1e-12):
+def solve(graph):
     reachable = graph.connected_nodes()
     excluded = sorted(set(graph.nodes) - reachable)
     free = sorted(n for n in reachable if n != graph.ego)
@@ -166,12 +164,12 @@ def solve(graph, max_iters=50, rel_tol=1e-12):
 
     idx = {n: k for k, n in enumerate(free)}
     n_params = 6 * len(free)
-    cost = robust_cost(edges, poses, graph.huber_delta)
+    cost = robust_cost(edges, poses)
     initial_cost = cost
     lam = 1e-6
     converged = False
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         JtJ = np.zeros((n_params, n_params))
         Jtr = np.zeros(n_params)
         for e in edges:
@@ -181,7 +179,7 @@ def solve(graph, max_iters=50, rel_tol=1e-12):
             M = Th @ Tj_inv @ Ti
             E = M - np.eye(4)
             r2 = e.weight * float(np.sum(E * E))
-            w = e.weight * _huber_weight(r2, graph.huber_delta)
+            w = e.weight * _huber_weight(r2, HUBER_DELTA)
             r = E.reshape(-1)
             blocks = []
             if e.i != graph.ego:
@@ -209,7 +207,7 @@ def solve(graph, max_iters=50, rel_tol=1e-12):
             for n in free:
                 k = idx[n]
                 trial[n] = poses[n].compose(se3_exp(step[6 * k : 6 * k + 6])).orthonormalized()
-            trial_cost = robust_cost(edges, trial, graph.huber_delta)
+            trial_cost = robust_cost(edges, trial)
             if trial_cost < cost:
                 poses = trial
                 lam = max(lam * 0.3, 1e-12)
@@ -221,7 +219,7 @@ def solve(graph, max_iters=50, rel_tol=1e-12):
         if not accepted:
             converged = True
             break
-        if improvement <= rel_tol * max(cost, 1e-300) or cost < 1e-24:
+        if improvement <= REL_TOL * max(cost, 1e-300) or cost < 1e-24:
             converged = True
             break
 

@@ -13,7 +13,7 @@ import pytest
 from acceptance_report import record_criterion
 from relpose.bench import bench
 from relpose.checks import check_jacobians
-from relpose.eskf import FilterConfig, ImuPairInput, RelativePoseFilter
+from relpose.eskf import ImuPairInput, RelativePoseFilter
 from relpose.geom import (
     euler_zyx_from_quat,
     quat_from_euler_zyx,
@@ -115,7 +115,7 @@ def test_eskf_noiseless_convergence():
     a_ma = rotmat_from_quat(q_wa).T @ (-GRAV)
     a_mb = rotmat_from_quat(q_wb).T @ (-GRAV)
 
-    f = RelativePoseFilter(FilterConfig(range_scaled_V=False))
+    f = RelativePoseFilter()  # |p_true| = 2.29 m: V keeps its 0.05 m position floor
     z0 = RawPoseMeasurement(
         p_ba=p_true + np.array([0.5, 0.0, 0.0]),
         p_ab=-rotmat_from_quat(q_true).T @ (p_true + np.array([0.5, 0.0, 0.0])),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from relpose.codec import (
+    GATE_PX,
     MIN_PERIODS,
     IdLibrary,
     SpotTrack,
@@ -132,8 +133,12 @@ def test_associate_nearest_neighbor():
 
 def test_associate_gate_opens_new_track():
     prev = [(0, (100.0, 100.0))]
-    out = associate_spots(prev, [(500.0, 500.0)], gate=25.0)
+    out = associate_spots(prev, [(500.0, 500.0)])
     assert out == [(None, (500.0, 500.0))]
+    # the gate is GATE_PX: a spot that far away keeps its track, one just beyond opens a new one
+    assert associate_spots(prev, [(100.0 + GATE_PX, 100.0)]) == [(0, (100.0 + GATE_PX, 100.0))]
+    beyond = (100.0, 100.0 + GATE_PX + 1e-9)
+    assert associate_spots(prev, [beyond]) == [(None, beyond)]
 
 
 def test_associate_one_to_one():

@@ -3,17 +3,16 @@ import pytest
 
 from relpose.eskf import (
     CHI2_9_999,
+    INIT_P,
+    ROT_SIGMA,
     ErrorBelief,
-    FilterConfig,
     ImuPairInput,
     NominalState,
     RelativePoseFilter,
+    SingularInnovation,
     compute_Fi,
     compute_Fx,
     compute_H,
-    default_Qi,
-    default_V,
-    default_init_P,
     init_from_raw,
     inject_and_reset,
     innovation,
@@ -74,22 +73,20 @@ def test_predict_preserves_static_truth():
     q_wa = quat_from_euler_zyx(0.3, -0.2, 1.0)
     q_wb = quat_from_euler_zyx(-0.1, 0.15, -0.6)
     p_rel, q_rel, u = simulate_pair(q_wa, q_wb, np.array([2.0, 1.0, 0.5]), np.zeros(3))
-    cfg = FilterConfig()
     state = NominalState(p=p_rel.copy(), v=np.zeros(3), q=q_rel.copy())
-    belief = ErrorBelief(np.zeros(12), default_init_P())
+    belief = ErrorBelief(np.zeros(12), INIT_P)
     for _ in range(500):
-        state, belief = predict(state, belief, u, cfg)
+        state, belief = predict(state, belief, u)
     assert np.allclose(state.p, p_rel, atol=1e-9)
     assert np.allclose(state.v, 0.0, atol=1e-9)
     assert quat_angle_between(state.q, q_rel) < 1e-9
 
 
 def test_predict_inflates_covariance():
-    cfg = FilterConfig()
     state = random_state()
-    belief = ErrorBelief(np.zeros(12), default_init_P())
+    belief = ErrorBelief(np.zeros(12), INIT_P)
     before = np.trace(belief.P)
-    _, after_belief = predict(state, belief, random_input(), cfg)
+    _, after_belief = predict(state, belief, random_input())
     assert np.trace(after_belief.P) > before
     assert np.allclose(after_belief.P, after_belief.P.T)
 
@@ -98,11 +95,10 @@ def test_predict_constant_angular_rate_rotates_frame():
     # observer spinning about z at 1 rad/s; target static ahead
     w = np.array([0.0, 0.0, 1.0])
     u = ImuPairInput(a_ma=-GRAV, w_ma=np.zeros(3), a_mb=-GRAV, w_mb=w, dt=0.001)
-    cfg = FilterConfig()
     state = NominalState(p=np.array([3.0, 0.0, 0.0]), v=np.zeros(3), q=np.array([1.0, 0, 0, 0]))
-    belief = ErrorBelief(np.zeros(12), default_init_P())
+    belief = ErrorBelief(np.zeros(12), INIT_P)
     for _ in range(1000):  # 1 s
-        state, belief = predict(state, belief, u, cfg)
+        state, belief = predict(state, belief, u)
     # after 1 rad of observer yaw the target appears rotated by -1 rad
     expect_p = np.array([np.cos(1.0), -np.sin(1.0), 0.0]) * 3.0
     assert np.allclose(state.p, expect_p, atol=1e-3)
@@ -117,21 +113,28 @@ def test_innovation_zero_at_truth():
 
 
 def test_update_pulls_toward_measurement():
-    cfg = FilterConfig()
     state = NominalState(p=np.array([2.0, 0.0, 0.0]), v=np.zeros(3), q=np.array([1.0, 0, 0, 0]))
-    belief = ErrorBelief(np.zeros(12), default_init_P())
+    belief = ErrorBelief(np.zeros(12), INIT_P)
     z = RawPoseMeasurement(
         p_ba=np.array([2.3, 0.0, 0.0]),
         p_ab=np.array([-2.3, 0.0, 0.0]),
         q_ba=np.array([1.0, 0, 0, 0]),
     )
-    new_belief = update(state, belief, z, cfg)
+    new_belief = update(state, belief, z)
     assert new_belief.delta_mean[0] > 0.1  # moved toward the measurement
     assert np.trace(new_belief.P) < np.trace(belief.P)
 
 
+def nis(state, belief, z):
+    """y' S^-1 y with S = H P H' + V, V built here from its stated sigmas."""
+    H = compute_H(state)
+    sp = max(0.05, 0.02 * np.linalg.norm(z.p_ba))
+    S = H @ belief.P @ H.T + np.diag([sp**2] * 6 + [ROT_SIGMA**2] * 3)
+    y = innovation(state, z)
+    return float(y @ np.linalg.solve(S, y))
+
+
 def test_update_gate_rejects_outlier():
-    cfg = FilterConfig()
     state = NominalState(p=np.array([2.0, 0.0, 0.0]), v=np.zeros(3), q=np.array([1.0, 0, 0, 0]))
     # tight covariance so a 10 m jump fails the chi-square gate
     belief = ErrorBelief(np.zeros(12), np.eye(12) * 1e-6)
@@ -140,13 +143,27 @@ def test_update_gate_rejects_outlier():
         p_ab=np.array([-12.0, 0.0, 0.0]),
         q_ba=np.array([1.0, 0, 0, 0]),
     )
-    out = update(state, belief, z, cfg)
+    assert nis(state, belief, z) > CHI2_9_999
+    out = update(state, belief, z)
+    assert out is belief
     assert np.array_equal(out.delta_mean, belief.delta_mean)
     assert np.array_equal(out.P, belief.P)
-    # same measurement passes with gating disabled
-    cfg_open = FilterConfig(gate_chi2=None)
-    out2 = update(state, belief, z, cfg_open)
-    assert not np.array_equal(out2.delta_mean, belief.delta_mean)
+
+
+@pytest.mark.parametrize("range_m", [1.0, 2.0, 4.0, 10.0])
+def test_update_gates_on_nis(range_m):
+    # position jumps on both sides of the gate, at ranges where V is floored
+    # (below 2.5 m) and range-scaled (above)
+    state = NominalState(p=np.array([range_m, 0.0, 0.0]), v=np.zeros(3), q=np.array([1.0, 0, 0, 0]))
+    belief = ErrorBelief(np.zeros(12), np.eye(12) * 1e-4)
+    outcomes = set()
+    for jump in np.linspace(0.0, 0.4 * max(1.0, range_m / 2.5), 41):
+        p = np.array([range_m + jump, 0.5 * jump, 0.0])
+        z = RawPoseMeasurement(p_ba=p, p_ab=-p, q_ba=np.array([1.0, 0, 0, 0]))
+        gated = update(state, belief, z) is belief
+        assert gated == (nis(state, belief, z) > CHI2_9_999)
+        outcomes.add(gated)
+    assert outcomes == {True, False}
 
 
 def test_chi2_gate_constant():
@@ -173,7 +190,7 @@ def test_true_state_composition():
 def test_inject_and_reset_zeroes_delta():
     state = random_state()
     d = RNG.uniform(-0.05, 0.05, 12)
-    belief = ErrorBelief(d, default_init_P())
+    belief = ErrorBelief(d, INIT_P)
     new_state, new_belief = inject_and_reset(state, belief)
     assert np.allclose(new_belief.delta_mean, 0.0)
     expect = true_state(state, belief)
@@ -238,31 +255,21 @@ def test_Fx_Fi_shapes_and_structure():
 
 
 def test_singular_innovation_raised():
-    from relpose.eskf import SingularInnovation
-
-    state = random_state()
-    belief = ErrorBelief(np.zeros(12), np.zeros((12, 12)))  # no uncertainty
-    cfg = FilterConfig(V=np.zeros((9, 9)), range_scaled_V=False, gate_chi2=None)
-    z = RawPoseMeasurement(p_ba=state.p, p_ab=np.zeros(3), q_ba=state.q)
+    # with p = 0 and q = identity the rotation rows of H are [0 0 I -I], so
+    # P's theta_A block -ROT_SIGMA^2 I cancels the rotation noise in S exactly
+    state = NominalState(p=np.zeros(3), v=np.zeros(3), q=np.array([1.0, 0, 0, 0]))
+    P = np.zeros((12, 12))
+    P[6:9, 6:9] = -(ROT_SIGMA**2) * np.eye(3)
+    belief = ErrorBelief(np.zeros(12), P)
+    z = RawPoseMeasurement(p_ba=np.zeros(3), p_ab=np.zeros(3), q_ba=state.q.copy())
+    H = compute_H(state)
+    assert np.array_equal((H @ belief.P @ H.T)[6:9, 6:9], -(ROT_SIGMA**2) * np.eye(3))
     with pytest.raises(SingularInnovation):
-        update(state, belief, z, cfg)
-
-
-def test_default_V_range_scaling():
-    near, far = default_V(1.0), default_V(10.0)
-    assert near[0, 0] == pytest.approx(0.05**2)
-    assert far[0, 0] == pytest.approx(0.2**2)
-    assert near[6, 6] == far[6, 6]  # rotation block fixed
-
-
-def test_default_Qi_rate_scaling():
-    q_fast = default_Qi(dt=0.0025)
-    q_slow = default_Qi(dt=0.01)
-    assert q_fast[0, 0] == pytest.approx(4 * q_slow[0, 0])
+        update(state, belief, z)
 
 
 def test_filter_wrapper_lifecycle():
-    f = RelativePoseFilter(FilterConfig(range_scaled_V=False))
+    f = RelativePoseFilter()
     assert not f.initialized
     f.process_imu(random_input())  # silently ignored before init
     assert not f.initialized
@@ -279,11 +286,12 @@ def test_init_from_raw_copies():
     z = RawPoseMeasurement(
         p_ba=np.array([1.0, 0, 0]), p_ab=np.array([-1.0, 0, 0]), q_ba=np.array([1.0, 0, 0, 0]), t=2.0
     )
-    state, belief = init_from_raw(z, FilterConfig())
+    state, belief = init_from_raw(z)
     z.p_ba[0] = 99.0
     assert state.p[0] == 1.0
     assert state.t == 2.0
-    assert np.allclose(belief.P, default_init_P())
+    assert np.array_equal(belief.P, INIT_P)
+    assert belief.P is not INIT_P
 
 
 def test_imu_input_validation():

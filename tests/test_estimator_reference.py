@@ -46,16 +46,14 @@ def _random_step(rng, k):
     return state, eskf.ErrorBelief(delta, P), u, z
 
 
-@pytest.mark.parametrize("range_scaled_V", [True, False])
-def test_filter_step_matches_reference(range_scaled_V):
+def test_filter_step_matches_reference():
     rng = np.random.default_rng(7)
-    cfg = eskf.FilterConfig(range_scaled_V=range_scaled_V)
     gated = set()
     for k in range(50):
         state, belief, u, z = _random_step(rng, k)
 
-        s_new, b_new = eskf.predict(state, belief, u, cfg)
-        s_ref, b_ref = ref.predict(state, belief, u, cfg)
+        s_new, b_new = eskf.predict(state, belief, u)
+        s_ref, b_ref = ref.predict(state, belief, u)
         for a, b in [(s_new.p, s_ref.p), (s_new.v, s_ref.v), (s_new.q, s_ref.q),
                      (b_new.delta_mean, b_ref.delta_mean), (b_new.P, b_ref.P)]:
             _close(a, b)
@@ -65,8 +63,8 @@ def test_filter_step_matches_reference(range_scaled_V):
         _close(eskf.compute_H(state), ref.compute_H(state))
         _close(eskf.innovation(state, z), ref.innovation(state, z))
 
-        u_new = eskf.update(s_new, b_new, z, cfg)
-        u_ref = ref.update(s_new, b_new, z, cfg)
+        u_new = eskf.update(s_new, b_new, z)
+        u_ref = ref.update(s_new, b_new, z)
         assert (u_new is b_new) == (u_ref is b_new)
         if u_new is b_new:
             gated.add(k)
@@ -85,22 +83,23 @@ def test_filter_step_matches_reference(range_scaled_V):
 
 def test_gated_measurement_returns_input_belief():
     rng = np.random.default_rng(8)
-    cfg = eskf.FilterConfig()
     state, _, _, _ = _random_step(rng, 0)
     belief = eskf.ErrorBelief(np.zeros(12), np.eye(12) * 1e-6)
     z = RawPoseMeasurement(state.p + 10.0, rng.normal(0, 3.0, 3), state.q)
-    assert ref.update(state, belief, z, cfg) is belief
-    assert eskf.update(state, belief, z, cfg) is belief
+    assert ref.update(state, belief, z) is belief
+    assert eskf.update(state, belief, z) is belief
 
 
 def test_singular_innovation_as_reference():
-    state, _, _, _ = _random_step(np.random.default_rng(9), 0)
-    belief = eskf.ErrorBelief(np.zeros(12), np.zeros((12, 12)))
-    cfg = eskf.FilterConfig(V=np.zeros((9, 9)), range_scaled_V=False, gate_chi2=None)
-    z = RawPoseMeasurement(state.p, np.zeros(3), state.q)
+    # p = 0, q = identity: P's theta_A block cancels the rotation noise in S
+    state = eskf.NominalState(p=np.zeros(3), v=np.zeros(3), q=np.array([1.0, 0, 0, 0]))
+    P = np.zeros((12, 12))
+    P[6:9, 6:9] = -(eskf.ROT_SIGMA**2) * np.eye(3)
+    belief = eskf.ErrorBelief(np.zeros(12), P)
+    z = RawPoseMeasurement(np.zeros(3), np.zeros(3), state.q.copy())
     for update in (ref.update, eskf.update):
         with pytest.raises(eskf.SingularInnovation):
-            update(state, belief, z, cfg)
+            update(state, belief, z)
 
 
 # -- pose graph -----------------------------------------------------------------
@@ -141,8 +140,8 @@ def _graphs():
 @pytest.mark.parametrize("name,graph", _graphs(), ids=[c[0] for c in _graphs()])
 def test_solve_matches_reference(name, graph):
     nodes, edges = graph
-    poses, report = pgo.solve(pgo.PoseGraph(0, dict(nodes), list(edges)), 25, 1e-10)
-    poses_ref, report_ref = ref.solve(pgo.PoseGraph(0, dict(nodes), list(edges)), 25, 1e-10)
+    poses, report = pgo.solve(pgo.PoseGraph(0, dict(nodes), list(edges)))
+    poses_ref, report_ref = ref.solve(pgo.PoseGraph(0, dict(nodes), list(edges)))
     assert (report.iterations, report.converged, report.excluded) == (
         report_ref.iterations, report_ref.converged, report_ref.excluded
     )
@@ -173,4 +172,4 @@ def test_batched_cost_is_the_sum_of_edge_residuals(name, graph):
         weight=np.array([e.weight for e in edges]),
     )
     _, _, r2 = pgo._residuals(pgo._stack([nodes[n] for n in order]), stacked)
-    _close(pgo._robust_cost(r2, 0.5), ref.robust_cost(edges, nodes, 0.5))
+    _close(pgo._robust_cost(r2, pgo.HUBER_DELTA), ref.robust_cost(edges, nodes))

@@ -108,7 +108,6 @@ def test_huber_downweights_outlier_edge():
         ego=0,
         nodes={0: Pose.identity(), 1: good},
         edges=[Edge(0, 1, good), Edge(0, 1, good), Edge(0, 1, good), Edge(0, 1, bad)],
-        huber_delta=0.5,
     )
     poses, _ = solve(g)
     dp, _ = pose_error(poses[1], truth[1])

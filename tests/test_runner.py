@@ -220,12 +220,12 @@ def test_singular_innovation_skips_one_update(monkeypatch):
     update = relpose.eskf.update
     calls = []
 
-    def singular_once(state, belief, z, cfg):
+    def singular_once(state, belief, z):
         calls.append(z.t)
         if len(calls) == 40:
             calls.append(state)
             raise SingularInnovation("Singular matrix")
-        return update(state, belief, z, cfg)
+        return update(state, belief, z)
 
     monkeypatch.setattr(relpose.eskf, "update", singular_once)
     res = run_scenario(small_config(duration=2.0))

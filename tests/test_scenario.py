@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from relpose.runner import build_world
 from relpose.scenario import ConfigError, config_from_dict, load_config
 
 
@@ -102,7 +104,21 @@ def test_camera_and_noise_override():
 def test_seed_propagates_to_noise():
     cfg = config_from_dict(minimal_dict(seed=123))
     assert cfg.seed == 123
-    assert cfg.noise.seed == 123
+
+    def first_imu(cfg):
+        frame = next(build_world(cfg).frames(cfg.duration))
+        return frame.robots[0].imu[0]
+
+    same = config_from_dict(minimal_dict(seed=123))
+    other = config_from_dict(minimal_dict(seed=124))
+    assert np.array_equal(first_imu(cfg), first_imu(same))
+    assert not np.array_equal(first_imu(cfg), first_imu(other))
+
+
+def test_seed_inside_noise_rejected():
+    # the seed is top-level only; a second copy in "noise" could disagree with it
+    with pytest.raises(ConfigError, match="noise"):
+        config_from_dict(minimal_dict(noise={"seed": 5}))
 
 
 def test_obstacles_parsed():

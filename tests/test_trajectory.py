@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relpose
 from relpose.geom import quat_conj, quat_mul, rotvec_from_quat
 from relpose.trajectory import (
     AttitudeProfile,
@@ -157,3 +162,24 @@ def test_array_out_of_domain():
     with pytest.raises(OutOfDomain, match="10.5"):
         eval_trajectory_array(SPECS[0], np.array([0.0, 10.0, 10.5]))
     assert eval_trajectory_array(SPECS[0], np.array([0.0, 10.0])).p.shape == (2, 3)
+
+
+def test_scipy_imported_only_for_waypoint_paths():
+    # scipy's interpolate takes most of a cold `import relpose.runner`; only
+    # the waypoints kind needs it
+    env = dict(os.environ)
+    pkg_root = str(Path(relpose.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import relpose.runner, relpose.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "from relpose.trajectory import TrajectorySpec\n"
+        "TrajectorySpec(kind='waypoints', duration=1.0, waypoints=[(0.0, (0, 0, 0)), (1.0, (1, 0, 0))])\n"
+        "print('scipy.interpolate' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]

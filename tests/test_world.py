@@ -10,13 +10,12 @@ from world_reference import synth_detection, synth_imu, synth_uwb, zeroed
 QUIET = zeroed(NoiseParams())
 
 
-def two_robot_world(noise=QUIET, obstacles=None, **rates):
+def two_robot_world(noise=QUIET, obstacles=None, **kw):
     robots = {
         0: (TrajectorySpec(kind="static", duration=10.0, center=(0, 0, 1)), 0),
         1: (TrajectorySpec(kind="circle", duration=10.0, center=(4, 0, 1), radius=1.0, omega=0.5), 1),
     }
-    kw = dict(imu_rate=100.0, cam_rate=100.0, uwb_rate=50.0)
-    kw.update(rates)
+    kw = dict(imu_rate=100.0, cam_rate=100.0, uwb_rate=50.0) | kw
     return World(robots=robots, noise=noise, obstacles=obstacles or [], **kw)
 
 
@@ -39,7 +38,7 @@ def test_static_imu_reads_one_g():
 
 def test_imu_noise_scales_with_rate():
     # discrete sigma = density / sqrt(dt): quarter dt doubles the noise
-    noise = NoiseParams(seed=3)
+    noise = NoiseParams()
     s = two_robot_world().truth(0, 0.0)
     samples_a, samples_b = [], []
     rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
@@ -63,7 +62,7 @@ def test_uwb_beyond_max_range_dropped():
 
 
 def test_uwb_clamped_at_zero():
-    noise = NoiseParams(uwb_sigma=5.0, seed=0)
+    noise = NoiseParams(uwb_sigma=5.0)
     rng = np.random.default_rng(0)
     samples = [synth_uwb([0, 0, 0], [0.01, 0, 0], noise, rng) for _ in range(200)]
     assert min(samples) == 0.0
@@ -133,8 +132,8 @@ def test_frames_schedule():
 
 
 def test_sensor_streams_deterministic():
-    noise = NoiseParams(seed=42)
-    wa, wb = two_robot_world(noise), two_robot_world(noise)
+    noise = NoiseParams()
+    wa, wb = two_robot_world(noise, seed=42), two_robot_world(noise, seed=42)
     for fa, fb in zip(wa.frames(0.5), wb.frames(0.5)):
         for rid in (0, 1):
             if fa.has_imu:
@@ -184,7 +183,7 @@ def test_relative_truth():
 
 
 def test_bus_delivery_and_cursor():
-    bus = MessageBus()
+    bus = MessageBus((0, 1))
     bus.publish(0, 0.0, "a")
     bus.publish(1, 0.0, "b")
     got = bus.poll(0, 0.0)
@@ -193,14 +192,14 @@ def test_bus_delivery_and_cursor():
 
 
 def test_bus_latency():
-    bus = MessageBus(latency=0.1)
+    bus = MessageBus((0, 1), latency=0.1)
     bus.publish(0, 0.0, "x")
     assert bus.poll(1, 0.05) == []
     assert bus.poll(1, 0.1) == [(0, "x")]
 
 
 def test_bus_loss_rate_statistics():
-    bus = MessageBus(loss_rate=0.3, seed=7)
+    bus = MessageBus((0, 1), loss_rate=0.3, seed=7)
     for k in range(1000):
         bus.publish(0, 0.0, k)
     got = bus.poll(1, 0.0)
@@ -208,7 +207,7 @@ def test_bus_loss_rate_statistics():
 
 
 def test_bus_order_preserved():
-    bus = MessageBus()
+    bus = MessageBus((0, 1))
     for k in range(5):
         bus.publish(0, 0.1 * k, k)
     got = [p for _, p in bus.poll(1, 1.0)]
@@ -217,7 +216,7 @@ def test_bus_order_preserved():
 
 def test_bus_queue_stays_bounded():
     # two robots polling every tick, packets held back two ticks by latency
-    bus = MessageBus(latency=0.02, consumers=(0, 1))
+    bus = MessageBus((0, 1), latency=0.02)
     got = {0: [], 1: []}
     longest = 0
     for k in range(5000):
@@ -234,7 +233,7 @@ def test_bus_queue_stays_bounded():
 
 
 def test_bus_keeps_packets_a_consumer_has_not_read():
-    bus = MessageBus(consumers=(0, 1))
+    bus = MessageBus((0, 1))
     for k in range(100):
         bus.publish(0, 0.01 * k, k)
         bus.poll(0, 0.01 * k)
@@ -246,7 +245,7 @@ def test_bus_keeps_packets_a_consumer_has_not_read():
 
 def test_bus_validates_loss_rate():
     with pytest.raises(ValueError):
-        MessageBus(loss_rate=1.5)
+        MessageBus((0, 1), loss_rate=1.5)
 
 
 def test_noise_params_validation():

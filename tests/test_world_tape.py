@@ -79,14 +79,16 @@ CASES = {
         },
         duration=4.0,
     ),
-    "all_zero_sigmas": dict(robots={0: spec(center=(0, 0, 1)), 1: CIRCLE}, noise=zeroed(NoiseParams(seed=3))),
+    "all_zero_sigmas": dict(robots={0: spec(center=(0, 0, 1)), 1: CIRCLE}, noise=zeroed(NoiseParams()), seed=3),
     "zero_accel_uwb_attitude": dict(
         robots={0: spec(center=(0, 0, 1), attitude=rolling((5.0, 5.0, 5.0))), 1: CIRCLE},
-        noise=NoiseParams(accel_density=0.0, uwb_sigma=0.0, attitude_rp_sigma=0.0, seed=4),
+        noise=NoiseParams(accel_density=0.0, uwb_sigma=0.0, attitude_rp_sigma=0.0),
+        seed=4,
     ),
     "zero_gyro_pixel": dict(
         robots={0: spec(center=(0, 0, 1), attitude=rolling((5.0, 5.0, 5.0))), 1: CIRCLE},
-        noise=NoiseParams(gyro_density=0.0, pixel_sigma=0.0, seed=5),
+        noise=NoiseParams(gyro_density=0.0, pixel_sigma=0.0),
+        seed=5,
     ),
     "camera_slower_than_imu": dict(
         robots={0: spec(center=(0, 0, 1)), 1: CIRCLE},
@@ -106,9 +108,10 @@ CASES = {
 def make_world(case: dict) -> World:
     return World(
         robots={rid: (s, rid) for rid, s in case["robots"].items()},
-        noise=case.get("noise", NoiseParams(seed=11)),
+        noise=case.get("noise", NoiseParams()),
         obstacles=case.get("obstacles", []),
         **case.get("rates", dict(imu_rate=100.0, cam_rate=100.0, uwb_rate=50.0)),
+        seed=case.get("seed", 11),
     )
 
 

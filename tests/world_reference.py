@@ -19,7 +19,7 @@ from relpose.world import GRAVITY, UWB_MAX_RANGE, NoiseParams, RobotSensors, Sen
 
 def zeroed(noise: NoiseParams) -> NoiseParams:
     """The same noise parameters with every sigma and density at zero."""
-    return NoiseParams(0.0, 0.0, 0.0, 0.0, 0.0, noise.seed)
+    return NoiseParams(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def intersects_segment_scalar(ob, a, b) -> bool:
