@@ -33,7 +33,7 @@ def main() -> None:
     k = DEFAULT_INTRINSICS  # stock 185-degree fisheye
     p_cam = np.array([0.8, -0.4, 1.5])
     uv = ds_project(p_cam, k)
-    bearing = ds_unproject(uv, k)
+    (bearing,), _ = ds_unproject([uv], k)  # one pixel: a batch of one row
     print(f"\npoint {p_cam} -> pixel {np.round(uv, 3)}")
     print(f"unprojected bearing  = {np.round(bearing, 6)}")
     print(f"bearing matches      = {np.allclose(bearing, p_cam / np.linalg.norm(p_cam))}")

@@ -3,13 +3,14 @@
 Two robots each see the other's LED (a bearing in their own body frame),
 share a UWB range, and know their own gravity-referenced roll and pitch.
 That is enough to recover the full 6-DOF relative pose in closed form —
-exactly, when the inputs are noiseless.
+exactly, when the inputs are noiseless. The solve takes one frame per row;
+here each call solves a single frame.
 """
 
 import numpy as np
 
 from relpose.geom import Pose, quat_from_euler_zyx, rotmat_from_quat, rotation_angle_deg
-from relpose.rawpose import MutualObservation, raw_estimate
+from relpose.rawpose import raw_estimate
 
 
 def main() -> None:
@@ -27,16 +28,17 @@ def main() -> None:
             continue
 
         truth = Pose(R_wb.T @ R_wa, R_wb.T @ p_w)  # A in B's frame
-        obs = MutualObservation(
-            bearing_b_to_a=truth.t / np.linalg.norm(truth.t),
-            bearing_a_to_b=-(truth.R.T @ truth.t) / np.linalg.norm(truth.t),
-            range_m=float(np.linalg.norm(truth.t)),
-            rp_a=(rp_a[0], rp_a[1]),
-            rp_b=(rp_b[0], rp_b[1]),
+        d = float(np.linalg.norm(truth.t))
+        est = raw_estimate(
+            b_ba=[truth.t / d],  # B's bearing to A
+            b_ab=[-(truth.R.T @ truth.t) / d],  # A's bearing to B
+            range_m=[d],
+            rp_a=[rp_a],
+            rp_b=[rp_b],
         )
-        est = raw_estimate(obs)
-        worst_p = max(worst_p, float(np.linalg.norm(est.p_ba - truth.t)))
-        worst_r = max(worst_r, rotation_angle_deg(rotmat_from_quat(est.q_ba).T @ truth.R))
+        assert est.ok[0]
+        worst_p = max(worst_p, float(np.linalg.norm(est.p_ba[0] - truth.t)))
+        worst_r = max(worst_r, rotation_angle_deg(rotmat_from_quat(est.q_ba[0]).T @ truth.R))
 
     print("200 random noiseless configurations:")
     print(f"  worst position error: {worst_p:.3e} m")

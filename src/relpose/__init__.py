@@ -16,6 +16,6 @@ Layers, bottom up:
 __version__ = "0.1.0"
 
 from .geom import Pose  # noqa: F401
-from .rawpose import MutualObservation, RawPoseMeasurement, raw_estimate  # noqa: F401
+from .rawpose import RawPoseMeasurement, raw_estimate  # noqa: F401
 from .eskf import RelativePoseFilter  # noqa: F401
 from .pgo import PoseGraph, Edge, solve  # noqa: F401

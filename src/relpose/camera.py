@@ -27,10 +27,6 @@ class OutOfImage(ValueError):
     """Point not representable: model validity or FOV cone violated."""
 
 
-class InvalidPixel(ValueError):
-    """Pixel outside the model's unprojectable region."""
-
-
 @dataclass(frozen=True)
 class DsIntrinsics:
     fx: float
@@ -96,17 +92,27 @@ def ds_project(p_cam, k: DsIntrinsics) -> tuple[float, float]:
     return float(uv[0, 0]), float(uv[0, 1])
 
 
-def ds_unproject(uv, k: DsIntrinsics) -> np.ndarray:
-    """Invert a pixel to a unit bearing. Raises InvalidPixel."""
-    u, v = uv
-    mx = (u - k.cx) / k.fx
-    my = (v - k.cy) / k.fy
+def ds_unproject(uv, k: DsIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Unit bearings (n, 3) of pixels (n, 2), and a mask (n,) of the pixels
+    inside the model's unprojectable region.
+
+    Rows off the mask (outside the unprojectable disk, or not finite) are nan.
+    Each norm is a per-row dot product through matmul, as `np.linalg.norm`
+    takes it for one ray, so every row equals the unprojection of that pixel
+    alone bit for bit.
+    """
+    uv = np.asarray(uv, dtype=float).reshape(-1, 2)
+    mx = (uv[:, 0] - k.cx) / k.fx
+    my = (uv[:, 1] - k.cy) / k.fy
     r2 = mx * mx + my * my
-    if k.alpha > 0.5 and r2 > 1.0 / (2.0 * k.alpha - 1.0):
-        raise InvalidPixel("pixel outside the unprojectable disk")
-    root = 1.0 - (2.0 * k.alpha - 1.0) * r2
-    root = max(root, 0.0)
+    ok = np.isfinite(r2)
+    if k.alpha > 0.5:
+        ok &= ~(r2 > 1.0 / (2.0 * k.alpha - 1.0))
+    mx, my, r2 = mx[ok], my[ok], r2[ok]
+    root = np.maximum(1.0 - (2.0 * k.alpha - 1.0) * r2, 0.0)
     mz = (1.0 - k.alpha * k.alpha * r2) / (k.alpha * np.sqrt(root) + 1.0 - k.alpha)
     coeff = (mz * k.xi + np.sqrt(mz * mz + (1.0 - k.xi * k.xi) * r2)) / (mz * mz + r2)
-    ray = coeff * np.array([mx, my, mz]) - np.array([0.0, 0.0, k.xi])
-    return ray / np.linalg.norm(ray)
+    ray = coeff[:, None] * np.column_stack((mx, my, mz)) - np.array([0.0, 0.0, k.xi])
+    out = np.full((uv.shape[0], 3), np.nan)
+    out[ok] = ray / np.sqrt(ray[:, None, :] @ ray[:, :, None])[:, 0]
+    return out, ok

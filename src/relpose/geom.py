@@ -96,30 +96,49 @@ def rotmats_from_quats(q) -> np.ndarray:
 
 def quat_from_rotmat(R) -> np.ndarray:
     """Shepperd's method; returns the w >= 0 representative."""
-    R = np.asarray(R, dtype=float)
-    tr = np.trace(R)
-    if tr > 0:
-        s = np.sqrt(tr + 1.0) * 2
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
-        )
-    elif R[1, 1] > R[2, 2]:
-        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2
-        q = np.array(
-            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
-        )
-    else:
-        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2
-        q = np.array(
-            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
-        )
-    q = quat_normalize(q)
-    return -q if q[0] < 0 else q
+    return quats_from_rotmats(R)[0]
+
+
+def quats_from_rotmats(R) -> np.ndarray:
+    """Unit quaternions (n, 4), w >= 0, of the rotations R (n, 3, 3) by Shepperd's method.
+
+    Each row takes the branch and the float operations of the method on that
+    matrix alone, and its norm as a per-row dot product, as `np.linalg.norm`
+    takes it for one quaternion. Non-finite matrices give non-finite rows.
+    """
+    R = np.asarray(R, dtype=float).reshape(-1, 3, 3)
+    tr = (R[:, 0, 0] + R[:, 1, 1]) + R[:, 2, 2]  # as np.trace sums it
+    d = np.diagonal(R, axis1=1, axis2=2)
+    w_leads = tr > 0
+    x_leads = ~w_leads & (d[:, 0] > d[:, 1]) & (d[:, 0] > d[:, 2])
+    y_leads = ~w_leads & ~x_leads & (d[:, 1] > d[:, 2])
+    z_leads = ~(w_leads | x_leads | y_leads)
+    q = np.empty((R.shape[0], 4))
+    # per branch: the leading component, then each other component k as
+    # (R[i, j] + sign * R[j, i]) / s, in the order the branch computes them
+    branches = (
+        (w_leads, 0, ((1, 2, 1, -1), (2, 0, 2, -1), (3, 1, 0, -1))),
+        (x_leads, 1, ((0, 2, 1, -1), (2, 0, 1, 1), (3, 0, 2, 1))),
+        (y_leads, 2, ((0, 0, 2, -1), (1, 0, 1, 1), (3, 1, 2, 1))),
+        (z_leads, 3, ((0, 1, 0, -1), (1, 0, 2, 1), (2, 1, 2, 1))),
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for mask, lead, others in branches:
+            if not mask.any():
+                continue
+            Rm, dm = R[mask], d[mask]
+            if lead == 0:
+                s = np.sqrt(tr[mask] + 1.0) * 2
+            else:
+                a, b = (m for m in range(3) if m != lead - 1)
+                s = np.sqrt(1.0 + dm[:, lead - 1] - dm[:, a] - dm[:, b]) * 2
+            qm = np.empty((s.size, 4))
+            qm[:, lead] = 0.25 * s
+            for k, i, j, sign in others:
+                qm[:, k] = (Rm[:, i, j] + Rm[:, j, i] if sign > 0 else Rm[:, i, j] - Rm[:, j, i]) / s
+            q[mask] = qm
+        q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    return np.where(q[:, :1] < 0, -q, q)
 
 
 def rotmat_from_rotvec(theta) -> np.ndarray:
@@ -129,21 +148,6 @@ def rotmat_from_rotvec(theta) -> np.ndarray:
 def skew(v) -> np.ndarray:
     x, y, z = v
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
-def rot_x(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def quat_from_euler_zyx(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -175,15 +179,6 @@ def euler_zyx_from_quat(q) -> tuple[float, float, float]:
         raise GimbalLock(f"pitch {np.rad2deg(rpy[0, 1]):.2f} deg inside gimbal guard")
     roll, pitch, yaw = rpy[0].tolist()
     return roll, pitch, yaw
-
-
-def wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
-    w = np.arctan2(np.sin(a), np.cos(a))
-    # atan2 returns [-pi, pi]; fold the open end
-    if w <= -np.pi:
-        w = np.pi
-    return float(w)
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 Wires the world's sensor streams through the ID codec, the raw closed-form
 solve, one relative-pose filter per observed pair, and (optionally) a
-per-frame pose graph in the ego robot's frame. All inter-robot data flows
-through the message bus.
+per-frame pose graph in the ego robot's frame. Raw measurements are formed
+per chunk of the sensor tape, before its filters run; the IMU samples that
+the filters fuse flow through the message bus.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .camera import InvalidPixel, ds_unproject
+from .camera import ds_unproject
 from .codec import SpotTracker
 from .eskf import ImuPairInput, RelativePoseFilter, SingularInnovation
-from .geom import GimbalLock, Pose, quat_from_rotmat, rotmat_from_quat, rotmats_from_quats
+from .geom import Pose, quats_from_rotmats, rotmat_from_quat, rotmats_from_quats
 from .metrics import AlignedPair, error_series, summarize
 from .pgo import edges_from_filters, solve
-from .rawpose import MutualObservation, VerticalDegeneracy, raw_estimate
+from .rawpose import RawPoseMeasurement, RawSolve, raw_estimate
 from .scenario import ScenarioConfig
-from .world import MessageBus, World
+from .world import MessageBus, SensorChunk, World
 
 
 @dataclass
@@ -43,7 +44,7 @@ class PoseSeries:
     @poses.setter
     def poses(self, poses: list[Pose]) -> None:
         self.p = np.array([x.t for x in poses], dtype=float).reshape(-1, 3)
-        self.q = np.array([quat_from_rotmat(x.R) for x in poses], dtype=float).reshape(-1, 4)
+        self.q = quats_from_rotmats([x.R for x in poses])
 
 
 @dataclass
@@ -111,90 +112,157 @@ def build_world(cfg: ScenarioConfig) -> World:
     )
 
 
-def _resolve_bearings(cfg, tracker, led_to_robot, rid, t, detections) -> dict[int, np.ndarray]:
-    """Unit bearings by peer id to the peers a robot sees at t.
+class _RawMeasurements:
+    """Forms a chunk's raw measurements in one array pass, before its filters run.
 
-    Oracle IDs take each detection's true peer. Decoded IDs take the decoded
-    tracks that saw a spot this frame; a track alive on a stale pixel gives none.
+    A raw measurement depends only on the tape and, with decoded IDs, on the
+    trackers' ID assignment; neither depends on filter state. Per chunk:
+    1. with decoded IDs, each robot's tracker steps through the chunk's camera
+       frames, and the decoded tracks that saw a spot in a frame give that
+       frame's pixels; oracle IDs take each seen beacon's pixel;
+    2. every pixel is unprojected in one call;
+    3. a pair has a measurement at a camera tick when both robots see each
+       other, neither is gimbal-locked, and the observer's last range to the
+       target is at most 1.5 radio periods old (the last range carries over
+       from earlier chunks);
+    4. one closed-form solve takes every selected row.
     """
-    if cfg.id_mode == "oracle":
-        pixels = [(peer, px) for peer, px, _lit in detections]
-    else:
-        pixels = [
-            (led_to_robot.get(tr.decoded_id), tr.last_pixel)
-            for tr in tracker.tracks.values()
-            if tr.decoded_id is not None and tr.last_t == t
-        ]
-    out: dict[int, np.ndarray] = {}
-    for peer, px in pixels:
-        if peer is None or peer == rid:
-            continue
-        try:
-            out[peer] = ds_unproject(px, cfg.camera)
-        except InvalidPixel:
-            pass
-    return out
+
+    def __init__(self, cfg: ScenarioConfig, world: World, pairs: list[tuple[int, int]]):
+        self.cfg = cfg
+        self.pairs = pairs
+        index = {rid: i for i, rid in enumerate(sorted(world.robots))}  # as the tape orders robots
+        # robot indices of each pair's observer and target
+        self.obs = np.array([index[obs] for obs, _ in pairs], dtype=np.intp)
+        self.tgt = np.array([index[tgt] for _, tgt in pairs], dtype=np.intp)
+        self.trackers = [SpotTracker(world.lib) for _ in index]
+        self.led_index = {led: index[rid] for rid, (_, led) in world.robots.items()}
+        # each pair's last range before the current chunk: time and value
+        self.range_t = np.full(len(pairs), -np.inf)
+        self.range_m = np.full(len(pairs), np.nan)
+
+    def _decoded_pixels(self, chunk: SensorChunk, t_cam: np.ndarray) -> tuple[list, list]:
+        """(observer, camera row, peer) keys and pixels of the decoded tracks that saw a spot."""
+        keys, pixels = [], []
+        px, seen, lit = chunk.pixels.tolist(), chunk.seen.tolist(), chunk.lit.tolist()
+        for c, t in enumerate(t_cam.tolist()):
+            for i, tracker in enumerate(self.trackers):
+                tracker.step(t, [(*px[i][c][j], lit[c][j]) for j, s in enumerate(seen[i][c]) if s])
+                for tr in tracker.tracks.values():
+                    peer = self.led_index.get(tr.decoded_id)
+                    if peer is not None and peer != i and tr.last_t == t:
+                        keys.append((i, c, peer))
+                        pixels.append(tr.last_pixel)
+        return keys, pixels
+
+    def _bearings(self, chunk: SensorChunk, t_cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unit bearings (R, n_cam, R, 3) from each robot to each peer, and their mask."""
+        if self.cfg.id_mode == "oracle":
+            keys, pixels = np.nonzero(chunk.seen), chunk.pixels[chunk.seen]
+        else:
+            keys, pixels = self._decoded_pixels(chunk, t_cam)
+            keys = tuple(np.array(keys, dtype=np.intp).reshape(-1, 3).T)
+        b, ok = ds_unproject(pixels, self.cfg.camera)
+        shape = chunk.seen.shape
+        flat = np.ravel_multi_index(keys, shape)[ok]
+        # two decoded tracks of one peer in a frame: the later one's bearing holds
+        _, last = np.unique(flat[::-1], return_index=True)
+        keep = flat.size - 1 - last
+        have = np.zeros(shape, dtype=bool)
+        have.flat[flat[keep]] = True
+        bearings = np.full(shape + (3,), np.nan)
+        bearings.reshape(-1, 3)[flat[keep]] = b[ok][keep]
+        return bearings, have
+
+    def _ranges(self, chunk: SensorChunk, cam_ticks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Time and value (P, n_cam) of each pair's last range at or before each camera tick."""
+        n = chunk.t.size
+        uwb = np.flatnonzero(chunk.uwb_row >= 0)
+        ranged = np.zeros((len(self.pairs), n), dtype=bool)
+        value = np.full((len(self.pairs), n), np.nan)
+        ranged[:, uwb] = chunk.in_range[self.obs, :, self.tgt]
+        value[:, uwb] = chunk.ranges[self.obs, :, self.tgt]
+        # the tick of the last range at or before each tick, -1 before the first;
+        # the chunk's last column carries over to the next chunk
+        latest = np.maximum.accumulate(np.where(ranged, np.arange(n), -1), axis=1)
+        tick = np.concatenate((latest[:, cam_ticks], latest[:, -1:]), axis=1)
+        have = tick >= 0
+        t = np.where(have, chunk.t[tick], self.range_t[:, None])
+        r = np.where(have, np.take_along_axis(value, np.maximum(tick, 0), axis=1), self.range_m[:, None])
+        self.range_t, self.range_m = t[:, -1], r[:, -1]
+        return t[:, :-1], r[:, :-1]
+
+    def form(self, chunk: SensorChunk) -> tuple[np.ndarray, np.ndarray, np.ndarray, RawSolve]:
+        """The chunk's solved rows: pair index (m,), camera row (m,), time (m,) and the solve."""
+        obs, tgt = self.obs, self.tgt
+        cam_ticks = np.flatnonzero(chunk.cam_row >= 0)
+        t_cam = chunk.t[cam_ticks]
+        bearings, have = self._bearings(chunk, t_cam)
+        range_t, range_m = self._ranges(chunk, cam_ticks)
+        mutual = have[obs, :, tgt] & have[tgt, :, obs] & ~chunk.locked[obs] & ~chunk.locked[tgt]
+        k, c = np.nonzero(mutual & (t_cam - range_t <= 1.5 / self.cfg.uwb_rate))
+        b, a = obs[k], tgt[k]  # B observes A
+        solve = raw_estimate(
+            bearings[b, c, a], bearings[a, c, b], range_m[k, c], chunk.rp[a, c], chunk.rp[b, c]
+        )
+        return k, c, t_cam[c], solve
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Simulate one scenario and run the configured estimator stack."""
     world = build_world(cfg)
     ids = sorted(world.robots)
-    led_to_robot = {led: rid for rid, (_, led) in world.robots.items()}
     pairs = _pairs_for(cfg)
     run_eskf = cfg.estimator in ("eskf", "pgo")
     run_pgo = cfg.estimator == "pgo"
 
     bus = MessageBus(ids, seed=cfg.seed ^ 0x5BD1E995)
-    trackers = {rid: SpotTracker(world.lib) for rid in ids}
+    raw = _RawMeasurements(cfg, world, pairs)
     filters = {pair: RelativePoseFilter() for pair in pairs}
-    last_imu: dict[int, tuple] = {}
+    last_imu: dict[int, np.ndarray] = {}
     neighbor_imu: dict[int, dict[int, tuple]] = {rid: {} for rid in ids}
-    neighbor_cam: dict[int, dict[int, tuple]] = {rid: {} for rid in ids}
-    last_uwb: dict[tuple[int, int], tuple[float, float]] = {}
-    bearings: dict[int, dict[int, np.ndarray]] = {}  # this camera frame's, by robot
     last_meas_t: dict[tuple[int, int], float] = {}
 
-    # one row of plain values per recorded sample; arrays are built after the loop
+    # raw rows as (m, 8) blocks per chunk; one row of plain values per filter
+    # and PGO sample; arrays are built after the loop
     raw_rows: dict[tuple[int, int], list] = {pair: [] for pair in pairs}
     eskf_rows: dict[tuple[int, int], list] = {pair: [] for pair in pairs}
     pgo_rows: dict[int, list] = {rid: [] for rid in ids if rid != cfg.ego}
     pgo_converged: list[bool] = []
 
     imu_dt = 1.0 / cfg.imu_rate
-    uwb_stale = 1.5 / cfg.uwb_rate
     edge_stale = 0.25  # drop PGO edges whose filter saw no measurement lately
     pgo_every = max(int(round(cfg.cam_rate / cfg.pgo_rate)), 1)
     cam_tick = 0
+    chunk = None
 
     for frame in world.frames(cfg.duration):
         t = frame.t
-        # -- publish stage -------------------------------------------------
-        if frame.has_imu:
-            for rid in ids:
-                last_imu[rid] = frame.robots[rid].imu
-                bus.publish(rid, t, ("imu", frame.robots[rid].imu))
-        if frame.has_uwb:
-            for rid in ids:
-                for other, rng in frame.robots[rid].uwb:
-                    last_uwb[(rid, other)] = (t, rng)
-        if frame.has_cam:
-            for rid in ids:
-                s = frame.robots[rid]
-                if cfg.id_mode == "codec":
-                    trackers[rid].step(t, [(px[0], px[1], lit) for _, px, lit in s.detections])
-                bearings[rid] = _resolve_bearings(
-                    cfg, trackers[rid], led_to_robot, rid, t, s.detections
-                )
-                bus.publish(rid, t, ("cam", s.attitude_rp, bearings[rid]))
+        # -- raw measurements of the whole chunk, on its first frame -------
+        if frame.chunk is not chunk:
+            chunk = frame.chunk
+            k, c, t_rows, z = raw.form(chunk)
+            ok = z.ok
+            k, c, t_rows = k[ok], c[ok], t_rows[ok]
+            block = np.column_stack((t_rows, z.p_ba[ok], z.q_ba[ok]))
+            for n, pair in enumerate(pairs):
+                raw_rows[pair].append(block[k == n])
+            if run_eskf:  # the filters' measurements, by pair and camera row
+                measurements = {
+                    (pairs[n], row): RawPoseMeasurement(p_ba, p_ab, q_ba, tt)
+                    for n, row, tt, p_ba, p_ab, q_ba in zip(
+                        k.tolist(), c.tolist(), t_rows.tolist(), z.p_ba[ok], z.p_ab[ok], z.q_ba[ok]
+                    )
+                }
 
-        # -- deliver -------------------------------------------------------
+        # -- IMU over the bus ------------------------------------------------
+        if frame.has_imu:
+            for i, rid in enumerate(ids):
+                last_imu[rid] = chunk.imu[i, frame.imu]
+                bus.publish(rid, t, last_imu[rid])
         for rid in ids:
-            for sender, payload in bus.poll(rid, t):
-                if payload[0] == "imu":
-                    neighbor_imu[rid][sender] = (t, payload[1])
-                else:
-                    neighbor_cam[rid][sender] = (t, payload[1], payload[2])
+            for sender, imu in bus.poll(rid, t):
+                neighbor_imu[rid][sender] = (t, imu)
 
         # -- estimate ------------------------------------------------------
         if frame.has_imu and run_eskf:
@@ -203,55 +271,22 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 peer = neighbor_imu[obs].get(tgt)
                 if own is None or peer is None or abs(peer[0] - t) > 1e-9:
                     continue
-                a_b, w_b = own
-                a_a, w_a = peer[1]
-                f.process_imu(ImuPairInput(a_a, w_a, a_b, w_b, imu_dt))
+                f.process_imu(ImuPairInput(peer[1][:3], peer[1][3:], own[:3], own[3:], imu_dt))
 
-        if frame.has_cam:
-            for (obs, tgt), f in filters.items():
-                mine = bearings[obs]
-                theirs = neighbor_cam[obs].get(tgt)
-                rp_obs = frame.robots[obs].attitude_rp
-                if (
-                    tgt not in mine
-                    or theirs is None
-                    or abs(theirs[0] - t) > 0.010
-                    or theirs[1] is None
-                    or obs not in theirs[2]
-                    or rp_obs is None
-                ):
-                    pass
-                else:
-                    rng = last_uwb.get((obs, tgt))
-                    if rng is not None and t - rng[0] <= uwb_stale:
-                        try:
-                            z = raw_estimate(
-                                MutualObservation(
-                                    bearing_b_to_a=mine[tgt],
-                                    bearing_a_to_b=theirs[2][obs],
-                                    range_m=rng[1],
-                                    rp_a=theirs[1],
-                                    rp_b=rp_obs,
-                                    t=t,
-                                )
-                            )
-                        except (VerticalDegeneracy, GimbalLock):
-                            z = None
-                        if z is not None:
-                            raw_rows[(obs, tgt)].append(np.concatenate(([t], z.p_ba, z.q_ba)))
-                            if run_eskf:
-                                try:
-                                    f.process_measurement(z)
-                                except SingularInnovation:
-                                    pass  # skip this update; the filter keeps its prior
-                                else:
-                                    last_meas_t[(obs, tgt)] = t
-                if run_eskf and f.initialized:
+        if frame.has_cam and run_eskf:
+            for pair, f in filters.items():
+                z = measurements.get((pair, frame.cam))
+                if z is not None:
+                    try:
+                        f.process_measurement(z)
+                    except SingularInnovation:
+                        pass  # skip this update; the filter keeps its prior
+                    else:
+                        last_meas_t[pair] = t
+                if f.initialized:
                     st = f.state
                     q = -st.q if st.q[0] < 0 else st.q
-                    eskf_rows[(obs, tgt)].append(
-                        np.concatenate(([t], st.p, st.v, q, np.diag(f.belief.P)))
-                    )
+                    eskf_rows[pair].append(np.concatenate(([t], st.p, st.v, q, np.diag(f.belief.P))))
 
             if run_pgo and cam_tick % pgo_every == 0:
                 estimates = {}
@@ -262,17 +297,17 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                     graph = edges_from_filters(cfg.ego, estimates)
                     poses, report = solve(graph)
                     pgo_converged.append(report.converged)
-                    for rid, pose in poses.items():
-                        if rid != cfg.ego and rid in pgo_rows:
-                            pgo_rows[rid].append(
-                                np.concatenate(([t], pose.t, quat_from_rotmat(pose.R)))
-                            )
+                    solved = [rid for rid in poses if rid != cfg.ego and rid in pgo_rows]
+                    q = quats_from_rotmats([poses[rid].R for rid in solved])
+                    for rid, q_rid in zip(solved, q):
+                        pgo_rows[rid].append(np.concatenate(([t], poses[rid].t, q_rid)))
+        if frame.has_cam:
             cam_tick += 1
 
     result = RunResult(
         config=cfg,
         world=world,
-        raw={pair: _pose_series(rows) for pair, rows in raw_rows.items()},
+        raw={pair: _pose_series(np.concatenate(rows)) for pair, rows in raw_rows.items()},
         eskf={pair: _filter_series(rows) for pair, rows in eskf_rows.items()},
         pgo={rid: _pose_series(rows) for rid, rows in pgo_rows.items()},
         pgo_converged=pgo_converged,

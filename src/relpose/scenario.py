@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .camera import DEFAULT_INTRINSICS, DsIntrinsics
+from .codec import IdLibrary
 from .trajectory import AttitudeProfile, TrajectorySpec
 from .world import NoiseParams, Obstacle
 
@@ -64,6 +65,10 @@ class ScenarioConfig:
             raise ConfigError("robots: ids must be unique")
         if self.ego not in ids:
             raise ConfigError(f"ego: robot {self.ego} not in robots")
+        leds = sorted(i for i, _ in IdLibrary().entries)
+        for rid, _, led in self.robots:
+            if led not in leds:
+                raise ConfigError(f"robots: robot {rid} has led {led}, not an LED id of the library {leds}")
         if self.estimator not in ("raw", "eskf", "pgo"):
             raise ConfigError(f"estimator: unknown value {self.estimator!r}")
         if self.pairs not in ("ego", "all"):

@@ -5,15 +5,15 @@ All randomness flows from one 64-bit seed through named child streams
 seed produce bit-identical sensor streams regardless of robot count or
 query order.
 
-Samples are synthesized as arrays over chunks of about one simulated second,
-and `World.frames` is a per-tick view over them. Each named stream draws a
-chunk's noise in one block, in the order per-sample synthesis would draw it,
-so the streams do not depend on the chunking.
+Samples are synthesized as arrays over chunks of about one simulated second
+(`SensorChunk`), and `World.frames` yields a per-tick view onto them. Each
+named stream draws a chunk's noise in one block, in the order per-sample
+synthesis would draw it, so the streams do not depend on the chunking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,16 +164,6 @@ class MessageBus:
         return out
 
 
-@dataclass(slots=True)
-class RobotSensors:
-    """One robot's synthesized samples at one tick (fields may be None)."""
-
-    imu: tuple[np.ndarray, np.ndarray] | None = None
-    uwb: list[tuple[int, float]] = field(default_factory=list)
-    detections: list[tuple[int, tuple[float, float], bool]] = field(default_factory=list)
-    attitude_rp: tuple[float, float] | None = None
-
-
 def _relative_truth(obs: TrajectoryState, tgt: TrajectoryState) -> tuple[np.ndarray, np.ndarray]:
     """p (n, 3) and R (n, 3, 3) of the target in the observer body frame, row by row.
 
@@ -206,12 +196,56 @@ class TruthGrid:
 
 
 @dataclass(slots=True)
-class SensorFrame:
+class Frame:
+    """One master tick: its time and its sample rows in its chunk's arrays (-1: no sample)."""
+
     t: float
-    robots: dict[int, RobotSensors]
-    has_imu: bool
-    has_cam: bool
-    has_uwb: bool
+    chunk: SensorChunk
+    imu: int
+    uwb: int
+    cam: int
+
+    @property
+    def has_imu(self) -> bool:
+        return self.imu >= 0
+
+    @property
+    def has_uwb(self) -> bool:
+        return self.uwb >= 0
+
+    @property
+    def has_cam(self) -> bool:
+        return self.cam >= 0
+
+
+@dataclass
+class SensorChunk:
+    """Every sensor sample of a run of master ticks, as arrays.
+
+    Robots are indexed by their position in `ids`, in the first axis and, for
+    the pairwise arrays, in the last. Each sensor has its own sample rows;
+    `imu_row`, `uwb_row` and `cam_row` give each tick's row, -1 where that
+    sensor does not sample. Values are nan where their mask is False.
+    """
+
+    ids: list[int]
+    t: np.ndarray  # (n,) times of the master ticks
+    imu_row: np.ndarray  # (n,)
+    uwb_row: np.ndarray  # (n,)
+    cam_row: np.ndarray  # (n,)
+    imu: np.ndarray  # (R, n_imu, 6) body-frame specific force, then body rate
+    ranges: np.ndarray  # (R, n_uwb, R) noisy range to each robot
+    in_range: np.ndarray  # (R, n_uwb, R) ranged: another robot within UWB_MAX_RANGE
+    pixels: np.ndarray  # (R, n_cam, R, 2) each robot's beacon in each camera
+    seen: np.ndarray  # (R, n_cam, R) beacon in view and not occluded
+    lit: np.ndarray  # (n_cam, R) each robot's LED on at each camera tick
+    rp: np.ndarray  # (R, n_cam, 2) IMU-derived roll/pitch
+    locked: np.ndarray  # (R, n_cam) gimbal-locked: no roll/pitch
+
+    def frames(self) -> list[Frame]:
+        """One view per master tick."""
+        rows = (self.t, self.imu_row, self.uwb_row, self.cam_row)
+        return [Frame(t, self, a, b, c) for t, a, b, c in zip(*(x.tolist() for x in rows))]
 
 
 class World:
@@ -277,59 +311,44 @@ class World:
         return p[0], R[0]
 
     def frames(self, duration: float):
-        """Yield SensorFrames on the shared clock for the given duration.
+        """Yield one Frame per master tick of [0, duration].
 
-        The samples of about one simulated second are synthesized together,
-        when the first frame of that chunk is asked for.
+        The samples of about one simulated second are synthesized together
+        as a SensorChunk, when the first frame of that chunk is asked for.
         """
         grid = self.truth_grid(duration)
         step = max(int(round(self._master_rate)), 1)
         for k0 in range(0, grid.t.size, step):
-            yield from self._chunk(grid, k0, min(k0 + step, grid.t.size))
+            yield from self._chunk(grid, k0, min(k0 + step, grid.t.size)).frames()
 
-    def _chunk(self, grid: TruthGrid, k0: int, k1: int) -> list[SensorFrame]:
-        """The frames of master ticks [k0, k1), every sensor synthesized as arrays."""
+    def _chunk(self, grid: TruthGrid, k0: int, k1: int) -> SensorChunk:
+        """The samples of master ticks [k0, k1), every sensor synthesized as arrays."""
         ids = sorted(self.robots)
         k = np.arange(k0, k1)
         masks = [k % every == 0 for every in self._every]
         i_imu, i_uwb, i_cam = (np.flatnonzero(m) for m in masks)
-        has_imu, has_uwb, has_cam = (m.tolist() for m in masks)
-        t_cam = grid.t[k0:k1][i_cam]
-        lit = {
-            rid: lit_at(t_cam, self.lib.duty_of(led), self.lib.period).tolist()
-            for rid, (_, led) in self.robots.items()
-        }
+        t = grid.t[k0:k1]
+        lit = np.stack(
+            [lit_at(t[i_cam], self.lib.duty_of(self.robots[rid][1]), self.lib.period) for rid in ids], axis=1
+        )
         q = np.concatenate([grid.states[rid].q[k0:k1] for rid in ids])
         rotmats = rotmats_from_quats(q).reshape(len(ids), k1 - k0, 3, 3)
-        columns = []
-        for rid, R in zip(ids, rotmats):
-            others = [o for o in ids if o != rid]
+        p_all = [grid.states[rid].p[k0:k1] for rid in ids]
+        synth = []
+        for i, (rid, R) in enumerate(zip(ids, rotmats)):
             s = grid.states[rid].at(slice(k0, k1))
-            p_others = [grid.states[o].p[k0:k1] for o in others]
-            imu = iter(self._imu(R[i_imu], s.a[i_imu], s.w_body[i_imu], self._rng[(rid, "imu")]))
-            uwb = iter(self._ranges(
-                s.p[i_uwb], [p[i_uwb] for p in p_others], others, self._rng[(rid, "uwb")]
+            synth.append((
+                self._imu(R[i_imu], s.a[i_imu], s.w_body[i_imu], self._rng[(rid, "imu")]),
+                *self._ranges(i, [p[i_uwb] for p in p_all], self._rng[(rid, "uwb")]),
+                *self._detections(i, R[i_cam], [p[i_cam] for p in p_all], self._rng[(rid, "cam")]),
+                *self._attitude_rp(R[i_cam], self._rng[(rid, "att")]),
             ))
-            det = iter(self._detections(
-                s.p[i_cam], R[i_cam], [p[i_cam] for p in p_others], others, lit, self._rng[(rid, "cam")]
-            ))
-            att = iter(self._attitude_rp(R[i_cam], self._rng[(rid, "att")]))
-            columns.append([
-                RobotSensors(
-                    next(imu) if a else None,
-                    next(uwb) if b else [],
-                    next(det) if c else [],
-                    next(att) if c else None,
-                )
-                for a, b, c in zip(has_imu, has_uwb, has_cam)
-            ])
-        return [
-            SensorFrame(kk / self._master_rate, dict(zip(ids, sensors)), a, c, b)
-            for kk, sensors, a, b, c in zip(range(k0, k1), zip(*columns), has_imu, has_uwb, has_cam)
-        ]
+        imu, ranges, in_range, pixels, seen, rp, locked = (np.stack(x) for x in zip(*synth))
+        rows = [np.where(m, np.cumsum(m) - 1, -1) for m in masks]
+        return SensorChunk(ids, t, *rows, imu, ranges, in_range, pixels, seen, lit, rp, locked)
 
-    def _imu(self, R, a, w_body, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Body-frame specific force and angular rate with discrete white noise.
+    def _imu(self, R, a, w_body, rng: np.random.Generator) -> np.ndarray:
+        """Body-frame specific force and angular rate (n, 6) with discrete white noise.
 
         R (n, 3, 3) is the attitude, a (n, 3) the world acceleration, w_body (n, 3) the body rate.
         """
@@ -342,52 +361,54 @@ class World:
         on = sigma > 0  # a zero sigma draws nothing
         if on.any():
             out[:, on] += rng.normal(0.0, sigma[on], (out.shape[0], int(on.sum())))
-        return list(zip(out[:, :3], out[:, 3:]))
+        return out
 
-    def _ranges(self, p, p_others, others, rng: np.random.Generator) -> list[list[tuple[int, float]]]:
-        """Noisy ranges from p (n, 3) to each of p_others, clamped at zero; none beyond the max range."""
-        d = np.empty((p.shape[0], len(others)))
-        for j, q in enumerate(p_others):
+    def _ranges(self, i: int, p_all, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Noisy ranges (n, R) from robot i to every robot at positions p_all (R of (n, 3)),
+        clamped at zero, and the mask (n, R) of those measured: other robots within
+        UWB_MAX_RANGE."""
+        p = p_all[i]
+        d = np.empty((p.shape[0], len(p_all)))
+        for j, q in enumerate(p_all):
             d[:, j] = np.sqrt(_dot_rows(p - q, p - q))
         ok = ~(d > UWB_MAX_RANGE)
+        ok[:, i] = False
         if self.noise.uwb_sigma > 0:
             d[ok] += rng.normal(0.0, self.noise.uwb_sigma, int(ok.sum()))
         d = np.where(d < 0.0, 0.0, d)
-        return [
-            [(o, r) for o, r, keep in zip(others, row, ok_row) if keep]
-            for row, ok_row in zip(d.tolist(), ok.tolist())
-        ]
+        d[~ok] = np.nan
+        return d, ok
 
-    def _detections(self, p, R, p_others, others, lit, rng: np.random.Generator) -> list[list]:
-        """(peer, pixel, lit) of each peer that the camera at p (n, 3), R (n, 3, 3) sees.
+    def _detections(self, i: int, R, p_all, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Noisy pixels (n, R, 2) of every robot's beacon in the camera of robot i at
+        attitudes R (n, 3, 3), and the mask (n, R) of those seen.
 
-        A peer is seen when no obstacle blocks the line of sight and its
-        beacon projects inside the camera model's validity region and FOV cone.
+        A beacon is seen when no obstacle blocks the line of sight and it
+        projects inside the camera model's validity region and FOV cone.
         """
+        p = p_all[i]
         n = p.shape[0]
         R_T = R.transpose(0, 2, 1)
-        uv = np.empty((n, len(others), 2))
-        seen = np.empty((n, len(others)), dtype=bool)
-        for j, target in enumerate(p_others):
+        uv = np.full((n, len(p_all), 2), np.nan)
+        seen = np.zeros((n, len(p_all)), dtype=bool)
+        for j, target in enumerate(p_all):
+            if j == i:
+                continue
             uv[:, j], seen[:, j] = ds_project_array((R_T @ (target - p)[:, :, None])[:, :, 0], self.k)
             for ob in self.obstacles:
                 seen[:, j] &= ~ob.blocks(p, target)
         if self.noise.pixel_sigma > 0:
             uv[seen] += rng.normal(0.0, self.noise.pixel_sigma, (int(seen.sum()), 2))
-        lits = [lit[o] for o in others]
-        return [
-            [(o, (u, v), on[i]) for o, u, v, keep, on in zip(others, u_row, v_row, seen_row, lits) if keep]
-            for i, (u_row, v_row, seen_row) in enumerate(
-                zip(uv[:, :, 0].tolist(), uv[:, :, 1].tolist(), seen.tolist())
-            )
-        ]
+        uv[~seen] = np.nan
+        return uv, seen
 
-    def _attitude_rp(self, R, rng: np.random.Generator) -> list[tuple[float, float] | None]:
-        """IMU-derived roll/pitch of attitudes R (n, 3, 3): truth plus independent
-        Gaussian noise; None under gimbal lock."""
+    def _attitude_rp(self, R, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """IMU-derived roll/pitch (n, 2) of attitudes R (n, 3, 3): truth plus independent
+        Gaussian noise; and the mask (n,) of gimbal-locked rows, which are nan."""
         rpy, locked = euler_zyx_from_rotmats(R)
         rp = rpy[:, :2]
         s = np.deg2rad(self.noise.attitude_rp_sigma)
         if s > 0:
             rp[~locked] += rng.normal(0.0, s, (int((~locked).sum()), 2))
-        return [None if lock else tuple(row) for row, lock in zip(rp.tolist(), locked.tolist())]
+        rp[locked] = np.nan
+        return rp, locked

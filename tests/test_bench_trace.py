@@ -51,7 +51,9 @@ def test_tracer_wraps_the_estimator_calls():
     finally:
         t.uninstall()
     spans = Counter(span[tracer.NAME] for span in t.spans)
-    for name in ("eskf.predict", "eskf.update", "eskf.inject_and_reset", "pgo.solve"):
+    estimators = ("eskf.predict", "eskf.update", "eskf.inject_and_reset", "pgo.solve")
+    # the raw measurements are formed once per chunk, through the runner's names
+    for name in estimators + ("rawpose.raw_estimate", "camera.ds_unproject"):
         assert spans[name] > 0, name
     assert [getattr(owner, attr) for owner, attr in targets] == originals
 

@@ -65,6 +65,20 @@ def test_run_invalid_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_unknown_led_exits_2(tmp_path, capsys):
+    cfg = write_small_scenario(
+        tmp_path,
+        robots=[
+            {"id": 0, "trajectory": {"kind": "static", "center": [0, 0, 1]}},
+            {"id": 1, "led": 9, "trajectory": {"kind": "static", "center": [4, 0, 1]}},
+        ],
+    )
+    rc = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error: robots: robot 1 has led 9" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_strict_flag_accepts_converged(tmp_path, capsys):
     cfg = write_small_scenario(
         tmp_path, estimator="pgo", pairs="all", pgo_rate=5.0,
@@ -91,6 +105,7 @@ def test_bench_subcommand(capsys):
     rc = main(["bench", "--reps", "5"])
     assert rc == 0
     out = capsys.readouterr().out
+    assert "raw_estimate_row" in out
     assert "eskf_cycle" in out
     assert "pgo_5robot" in out
 

@@ -12,18 +12,16 @@ from relpose.geom import (
     quat_from_rotvec,
     quat_mul,
     quat_normalize,
-    rot_x,
-    rot_y,
-    rot_z,
+    quats_from_rotmats,
     rotation_angle_deg,
     rotmat_from_quat,
     rotmat_from_rotvec,
     rotvec_from_quat,
     se3_exp,
     skew,
-    wrap_angle,
 )
 from quat_helpers import quat_angle_between, quat_identity, quats_equal_as_rotations
+from rawpose_reference import quat_from_rotmat_scalar, rot_x, rot_y, rot_z, wrap_angle
 
 RNG = np.random.default_rng(1234)
 
@@ -103,6 +101,29 @@ def test_quat_from_rotmat_near_pi_rotations():
         R = rotmat_from_rotvec(np.pi * axis)
         q = quat_from_rotmat(R)
         assert np.allclose(rotmat_from_quat(q), R, atol=1e-12)
+
+
+def test_quats_from_rotmats_equal_per_matrix_reference():
+    # random rotations, and rotations near pi about each axis, which take
+    # Shepperd's three branches for a non-positive trace
+    R = [rotmat_from_quat(random_quat()) for _ in range(500)]
+    for axis in np.eye(3):
+        for angle in np.pi - np.geomspace(1e-9, 0.5, 40):
+            R.append(rotmat_from_rotvec(angle * (axis + RNG.normal(0.0, 0.05, 3))))
+    R = np.array(R)
+    got = quats_from_rotmats(R)
+    want = [quat_from_rotmat_scalar(x) for x in R]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(quat_from_rotmat(R[0]), want[0])
+    # each branch is taken
+    d = np.diagonal(R, axis1=1, axis2=2)
+    lead = np.where(d.sum(axis=1) > 0, 3, d.argmax(axis=1))
+    assert set(lead.tolist()) == {0, 1, 2, 3}
+    bad = R[:2].copy()
+    bad[0, 1, 1] = np.nan
+    bad[1, 0, 2] = np.inf
+    assert not np.isfinite(quats_from_rotmats(bad)).all(axis=1).any()  # each row non-finite
+    assert quats_from_rotmats(np.empty((0, 3, 3))).shape == (0, 4)
 
 
 def test_elementary_rotations():

@@ -15,7 +15,10 @@ from relpose.runner import (
     write_outputs,
 )
 from relpose.scenario import config_from_dict
-from relpose.world import MessageBus, World
+from relpose.world import World
+from rawpose_reference import raw_series_reference
+from relpose.rawpose import ACCEPTED, VERTICAL
+from relpose.runner import build_world
 from scalar_reference import compute_metrics_per_sample, error_series_per_sample
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -183,34 +186,128 @@ def test_metrics_equal_per_sample_reference(monkeypatch):
     assert len(calls) == 15  # one error series per recorded series
 
 
-def test_decoded_track_missing_a_frame_publishes_no_bearing(monkeypatch):
+def test_decoded_track_missing_a_frame_gives_no_raw_row(monkeypatch):
     cfg = small_config(id_mode="codec", duration=1.0, rates={"imu": 200.0, "cam": 200.0, "uwb": 50.0})
     t_miss = 0.6  # well after the first decode; the track outlives one missed frame
-    frames = World.frames
+    chunk_of = World._chunk
+    dropped = []
 
-    def drop_one_detection(self, duration):
-        for f in frames(self, duration):
-            if f.has_cam and abs(f.t - t_miss) < 1e-9:
-                f.robots[1].detections = []
-            yield f
+    def drop_one_detection(self, grid, k0, k1):
+        chunk = chunk_of(self, grid, k0, k1)
+        for f in chunk.frames():
+            if f.has_cam and abs(f.t - t_miss) < 1e-9 and chunk.seen[1, f.cam, 0]:
+                chunk.seen[1, f.cam, 0] = False  # robot 1 misses robot 0's beacon
+                chunk.pixels[1, f.cam, 0] = np.nan
+                dropped.append(f.t)
+        return chunk
 
-    published = []
-    publish = MessageBus.publish
-
-    def record(self, sender, t, payload):
-        if payload[0] == "cam":
-            published.append((sender, t, set(payload[2])))
-        publish(self, sender, t, payload)
-
-    monkeypatch.setattr(World, "frames", drop_one_detection)
-    monkeypatch.setattr(MessageBus, "publish", record)
+    monkeypatch.setattr(World, "_chunk", drop_one_detection)
     res = run_scenario(cfg)
-    seen = {t: peers for sender, t, peers in published if sender == 1}
+    assert dropped == [t_miss]
     t_before, t_after = t_miss - 1 / 200.0, t_miss + 1 / 200.0
-    assert seen[t_before] == {0} and seen[t_after] == {0}
-    assert seen[t_miss] == set()
+    # robot 1's decoded track of robot 0 lives on across the missed frame, but
+    # its stale pixel gives no bearing there, so pair (0, 1) has no mutual
+    # observation at that frame alone
     raw_t = res.raw[(0, 1)].t
     assert t_before in raw_t and t_after in raw_t and t_miss not in raw_t
+    k = np.flatnonzero(raw_t == t_before)[0]
+    assert raw_t[k + 1] == t_after
+
+
+STATIC = {"kind": "static", "center": [0, 0, 1]}
+RAW_CASES = {
+    "codec_ids": dict(
+        id_mode="codec", duration=2.0, rates={"imu": 200.0, "cam": 200.0, "uwb": 50.0}
+    ),
+    # a radio slower than a chunk: some chunks have no range, and ranges carry over
+    "radio_slower_than_a_chunk": dict(
+        pairs="all",
+        duration=6.0,
+        rates={"imu": 100.0, "cam": 50.0, "uwb": 0.4},
+        obstacles=[{"shape": "box", "center": [2, 1.5, 1], "extents": [0.3, 0.3, 1.0]}],
+        robots=[
+            {"id": 0, "trajectory": STATIC},
+            {"id": 1, "trajectory": {"kind": "circle", "center": [4, 0, 1], "radius": 1.0, "omega": 0.5}},
+            {"id": 2, "trajectory": {"kind": "static", "center": [4, 3, 1]}},
+            {"id": 3, "trajectory": {"kind": "circle", "center": [0, 4, 1], "radius": 0.5, "omega": -1.0}},
+        ],
+    ),
+    # robot 1 drifts beyond the radio's 500 m from 5 s on: the range taken at 2.5 s
+    # is exactly 1.5 radio periods old at the 6.25 s frame, and stale after it
+    "range_goes_stale": dict(
+        duration=8.0,
+        rates={"imu": 100.0, "cam": 4.0, "uwb": 0.4},
+        robots=[
+            {"id": 0, "trajectory": STATIC},
+            {"id": 1, "trajectory": {
+                "kind": "circle", "center": [250, 0, 1], "radius": 250.5, "omega": 0.02, "phase": -0.15,
+            }},
+        ],
+    ),
+    # robots 1 and 2 blink the same LED id, so robot 0 has two tracks decoded
+    # to one id in a frame; the later track's bearing holds
+    "two_tracks_decode_one_id": dict(
+        id_mode="codec",
+        pairs="all",
+        duration=2.0,
+        rates={"imu": 200.0, "cam": 200.0, "uwb": 50.0},
+        robots=[
+            {"id": 0, "trajectory": STATIC},
+            {"id": 1, "led": 1, "trajectory": {"kind": "static", "center": [4, 0, 1]}},
+            {"id": 2, "led": 1, "trajectory": {"kind": "static", "center": [0, 4, 1]}},
+        ],
+    ),
+    # robot 1 pitches through +/-90 deg; robot 2 hangs upside down right above robot 0
+    "gimbal_lock_and_vertical": dict(
+        pairs="all",
+        duration=3.0,
+        robots=[
+            {"id": 0, "trajectory": STATIC},
+            {"id": 1, "trajectory": {
+                "kind": "static", "center": [3, 0, 1],
+                "attitude": {"amp": [0, 1.5708, 0], "freq": [0, 0.5, 0]},
+            }},
+            {"id": 2, "trajectory": {
+                "kind": "static", "center": [0.01, 0, 4], "attitude": {"rpy0": [3.1416, 0, 0]},
+            }},
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RAW_CASES))
+def test_raw_series_equal_per_tick_reference(name, monkeypatch):
+    cfg = small_config(estimator="raw", **RAW_CASES[name])
+    reasons = []
+    solve = relpose.runner.raw_estimate
+
+    def recorded(*args):
+        out = solve(*args)
+        reasons.extend(out.reason.tolist())
+        return out
+
+    monkeypatch.setattr(relpose.runner, "raw_estimate", recorded)
+    res = run_scenario(cfg)
+    want = raw_series_reference(cfg, build_world(cfg))
+    assert set(res.raw) == set(want)
+    for pair, ser in res.raw.items():
+        assert np.array_equal(np.column_stack((ser.t, ser.p, ser.q)).reshape(-1, 8), want[pair]), pair
+    assert any(len(ser.t) for ser in res.raw.values())
+    # the case reaches the branch it is named for
+    if name == "range_goes_stale":
+        assert 6.25 in res.raw[(0, 1)].t and 6.5 not in res.raw[(0, 1)].t
+    elif name == "two_tracks_decode_one_id":
+        assert len(res.raw[(0, 2)].t) > 0
+    elif name == "radio_slower_than_a_chunk":
+        frames = list(build_world(cfg).frames(cfg.duration))
+        assert any(f.chunk.uwb_row.max() < 0 for f in frames)
+    elif name == "gimbal_lock_and_vertical":
+        assert VERTICAL in reasons and ACCEPTED in reasons
+        mutual_locked = [
+            f.chunk.locked[1, f.cam] for f in build_world(cfg).frames(cfg.duration)
+            if f.has_cam and f.chunk.seen[0, f.cam, 1] and f.chunk.seen[1, f.cam, 0]
+        ]
+        assert any(mutual_locked) and not all(mutual_locked)
 
 
 def test_singular_innovation_skips_one_update(monkeypatch):

@@ -60,6 +60,20 @@ def test_robot_validation():
         config_from_dict(d)
 
 
+def test_unknown_led_rejected():
+    d = minimal_dict()
+    d["robots"][1]["led"] = 9
+    with pytest.raises(ConfigError, match="robot 1 has led 9"):
+        config_from_dict(d)
+    d = minimal_dict()
+    d["robots"][0]["id"] = 8  # the led defaults to the robot id
+    with pytest.raises(ConfigError, match="robot 8 has led 8"):
+        config_from_dict(minimal_dict(ego=8, robots=d["robots"]))
+    d = minimal_dict()
+    d["robots"][1]["led"] = 7  # the library's last id
+    assert config_from_dict(d).robots[1][2] == 7
+
+
 def test_enum_fields_validated():
     with pytest.raises(ConfigError, match="estimator"):
         config_from_dict(minimal_dict(estimator="magic"))
@@ -107,7 +121,7 @@ def test_seed_propagates_to_noise():
 
     def first_imu(cfg):
         frame = next(build_world(cfg).frames(cfg.duration))
-        return frame.robots[0].imu[0]
+        return frame.chunk.imu[0, frame.imu, :3]
 
     same = config_from_dict(minimal_dict(seed=123))
     other = config_from_dict(minimal_dict(seed=124))

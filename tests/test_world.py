@@ -73,7 +73,8 @@ def test_detection_pixel_unprojects_to_true_bearing():
     s0, s1 = w.truth(0, 1.0), w.truth(1, 1.0)
     px = synth_detection(s0.p, s0.q, s1.p, DEFAULT_INTRINSICS, [], QUIET, np.random.default_rng(0))
     assert px is not None
-    b = ds_unproject(px, DEFAULT_INTRINSICS)
+    (b,), ok = ds_unproject([px], DEFAULT_INTRINSICS)
+    assert ok.tolist() == [True]
     expect = rotmat_from_quat(s0.q).T @ (s1.p - s0.p)
     expect /= np.linalg.norm(expect)
     assert np.allclose(b, expect, atol=1e-9)
@@ -135,12 +136,10 @@ def test_sensor_streams_deterministic():
     noise = NoiseParams()
     wa, wb = two_robot_world(noise, seed=42), two_robot_world(noise, seed=42)
     for fa, fb in zip(wa.frames(0.5), wb.frames(0.5)):
-        for rid in (0, 1):
-            if fa.has_imu:
-                assert np.array_equal(fa.robots[rid].imu[0], fb.robots[rid].imu[0])
-                assert np.array_equal(fa.robots[rid].imu[1], fb.robots[rid].imu[1])
-            assert fa.robots[rid].uwb == fb.robots[rid].uwb
-            assert fa.robots[rid].detections == fb.robots[rid].detections
+        assert (fa.t, fa.imu, fa.uwb, fa.cam) == (fb.t, fb.imu, fb.uwb, fb.cam)
+        for name in ("imu", "ranges", "in_range", "pixels", "seen", "lit", "rp", "locked"):
+            a, b = getattr(fa.chunk, name), getattr(fb.chunk, name)
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
 
 
 def test_detection_carries_led_lit_state():
@@ -149,9 +148,10 @@ def test_detection_carries_led_lit_state():
     for f in w.frames(0.2):
         if not f.has_cam:
             continue
-        for other, px, lit in f.robots[0].detections:
-            assert other == 1
-            lit_states.add(lit)
+        seen = f.chunk.seen[0, f.cam]
+        assert not seen[0] and seen[1]
+        assert np.isnan(f.chunk.pixels[0, f.cam, 0]).all()
+        lit_states.add(bool(f.chunk.lit[f.cam, 1]))
     assert lit_states == {True, False}  # led 1 duty 0.2 toggles within 0.2 s
 
 
@@ -170,8 +170,8 @@ def test_attitude_rp_none_under_gimbal_lock():
     }
     w = World(robots=robots, noise=QUIET, imu_rate=100, cam_rate=100, uwb_rate=50)
     f = next(iter(w.frames(0.0)))
-    assert f.robots[1].attitude_rp is None
-    assert f.robots[0].attitude_rp is not None
+    assert f.chunk.locked[:, f.cam].tolist() == [False, True]
+    assert np.isnan(f.chunk.rp[1, f.cam]).all() and np.isfinite(f.chunk.rp[0, f.cam]).all()
 
 
 def test_relative_truth():

@@ -2,11 +2,13 @@
 
 `world_reference` holds the per-sample synthesis and the per-tick frame
 loop. Each case builds two identical worlds and compares `World.frames` of
-one with `frames_reference` of the other: IMU arrays with
-`np.array_equal`, every list and tuple with `==`. A whole-run test writes
-every bundled scenario's output files both ways and compares their bytes.
+one with `frames_reference` of the other: each frame's time and sample rows
+with `==`, and every array of their chunks with `np.array_equal`, nan equal
+to nan. A whole-run test writes every bundled scenario's output files both
+ways and compares their bytes.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from relpose.geom import GimbalLock, euler_zyx_from_quat
 from relpose.runner import run_scenario, write_outputs
 from relpose.scenario import config_from_dict
 from relpose.trajectory import AttitudeProfile, TrajectorySpec
-from relpose.world import NoiseParams, Obstacle, World
+from relpose.world import NoiseParams, Obstacle, SensorChunk, World
 from world_reference import (
     ds_project_scalar,
     euler_zyx_from_quat_scalar,
@@ -117,18 +119,18 @@ def make_world(case: dict) -> World:
 
 def assert_same_frames(got: list, want: list) -> None:
     assert len(got) == len(want)
+    chunks = {}
     for fa, fb in zip(got, want):
-        assert (fa.t, fa.has_imu, fa.has_cam, fa.has_uwb) == (fb.t, fb.has_imu, fb.has_cam, fb.has_uwb)
-        assert fa.robots.keys() == fb.robots.keys()
-        for rid, a in fa.robots.items():
-            b = fb.robots[rid]
-            if b.imu is None:
-                assert a.imu is None
+        assert (fa.t, fa.imu, fa.uwb, fa.cam) == (fb.t, fb.imu, fb.uwb, fb.cam)
+        chunks[id(fa.chunk)] = (fa.chunk, fb.chunk)
+    for a, b in chunks.values():
+        for field in dataclasses.fields(SensorChunk):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(x, np.ndarray):
+                assert x.shape == y.shape and x.dtype == y.dtype, field.name
+                assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), field.name
             else:
-                assert np.array_equal(a.imu[0], b.imu[0]) and np.array_equal(a.imu[1], b.imu[1])
-            assert a.uwb == b.uwb
-            assert a.detections == b.detections
-            assert a.attitude_rp == b.attitude_rp
+                assert x == y, field.name
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -139,24 +141,24 @@ def test_tape_equals_per_sample_synthesis(name):
     want = list(frames_reference(make_world(case), duration))
     assert_same_frames(got, want)
     # the case reaches the branch it is named for
-    cam = [f for f in want if f.has_cam]
+    cam = [(f.t, f.chunk.seen[:, f.cam], f.chunk.locked[:, f.cam]) for f in want if f.has_cam]
     if name == "obstacles":
-        seen = {(rid, peer) for f in cam for rid, s in f.robots.items() for peer, _, _ in s.detections}
+        seen = {(int(i), int(j)) for _, s, _ in cam for i, j in zip(*np.nonzero(s))}
         assert (0, 1) in seen and (0, 2) in seen and (1, 3) in seen
         assert (0, 3) not in seen  # the cylinder on the vertical sight line
-        assert any(all(p != 1 for p, _, _ in f.robots[0].detections) for f in cam)  # the box
-        assert any(all(p != 2 for p, _, _ in f.robots[0].detections) for f in cam)  # cylinder 2
+        assert any(not s[0, 1] for _, s, _ in cam)  # the box
+        assert any(not s[0, 2] for _, s, _ in cam)  # cylinder 2
     elif name == "gimbal_lock":
-        assert any(f.robots[1].attitude_rp is None for f in cam)
-        assert any(f.robots[1].attitude_rp is not None for f in cam)
+        assert any(locked[1] for _, _, locked in cam)
+        assert any(not locked[1] for _, _, locked in cam)
     elif name == "beyond_uwb_range":
-        peers = [{p for p, _ in f.robots[0].uwb} for f in want if f.has_uwb]
+        peers = [set(np.flatnonzero(f.chunk.in_range[0, f.uwb]).tolist()) for f in want if f.has_uwb]
         assert {1} in [p - {2} for p in peers] and set() in peers and all(2 not in p for p in peers)
     elif name == "out_of_view":
-        assert any(f.robots[0].detections for f in cam)
-        assert any(not f.robots[0].detections for f in cam)
+        assert any(s[0].any() for _, s, _ in cam)
+        assert any(not s[0].any() for _, s, _ in cam)
     elif name == "camera_slower_than_a_chunk":
-        assert [f.t for f in cam] == [0.0, 2.0, 4.0]
+        assert [t for t, _, _ in cam] == [0.0, 2.0, 4.0]
 
 
 def test_occlusion_equals_per_segment_test():

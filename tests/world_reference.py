@@ -5,8 +5,10 @@ time: `synth_imu`, `synth_uwb`, `synth_detection` and `synth_attitude_rp`
 draw their own noise per call, `intersects_segment_scalar` is the occlusion
 test of one segment, `ds_project_scalar` and `euler_zyx_from_quat_scalar` the
 projection and roll/pitch extraction of one point, and `frames_reference`
-is the per-tick frame loop built on them. It draws from the world's own
-named streams, so a fresh world gives the stream `World.frames` would.
+is the per-tick, per-sample loop built on them. It draws from the world's
+own named streams, so a fresh world gives the stream `World.frames` would,
+and it writes each sample into the arrays of a `SensorChunk` of the same
+ticks, so it yields the same per-tick views.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import numpy as np
 from relpose.camera import DsIntrinsics, OutOfImage, _w2
 from relpose.codec import lit_at
 from relpose.geom import GIMBAL_GUARD_DEG, GimbalLock, rotmat_from_quat
-from relpose.world import GRAVITY, UWB_MAX_RANGE, NoiseParams, RobotSensors, SensorFrame
+from relpose.world import GRAVITY, UWB_MAX_RANGE, NoiseParams, SensorChunk
 
 
 def zeroed(noise: NoiseParams) -> NoiseParams:
@@ -165,45 +167,60 @@ def synth_attitude_rp(true_q, noise: NoiseParams, rng: np.random.Generator) -> t
 def frames_reference(world, duration: float):
     """The frames of `world`, synthesized one tick and one sample at a time."""
     master = max(world.imu_rate, world.cam_rate, world.uwb_rate)
-    imu_every = int(round(master / world.imu_rate))
-    uwb_every = int(round(master / world.uwb_rate))
-    cam_every = int(round(master / world.cam_rate))
+    every = [int(round(master / rate)) for rate in (world.imu_rate, world.uwb_rate, world.cam_rate)]
     ids = sorted(world.robots)
     grid = world.truth_grid(duration)
-    for k in range(grid.t.size):
-        t = k / master
-        has_imu = k % imu_every == 0
-        has_cam = k % cam_every == 0
-        has_uwb = k % uwb_every == 0
-        states = {rid: grid.states[rid].at(k) for rid in ids}
-        frame: dict[int, RobotSensors] = {}
-        for rid in ids:
-            s = RobotSensors()
-            st = states[rid]
-            if has_imu:
-                s.imu = synth_imu(st, world.noise, 1.0 / world.imu_rate, world._rng[(rid, "imu")])
-            if has_uwb:
-                for other in ids:
-                    if other == rid:
-                        continue
-                    rng = synth_uwb(st.p, states[other].p, world.noise, world._rng[(rid, "uwb")])
-                    if rng is not None:
-                        s.uwb.append((other, rng))
-            if has_cam:
-                try:
-                    s.attitude_rp = synth_attitude_rp(st.q, world.noise, world._rng[(rid, "att")])
-                except GimbalLock:
-                    s.attitude_rp = None  # no roll/pitch this tick
-                for other in ids:
-                    if other == rid:
-                        continue
-                    px = synth_detection(
-                        st.p, st.q, states[other].p, world.k, world.obstacles,
-                        world.noise, world._rng[(rid, "cam")],
+    step = max(int(round(master)), 1)  # the world's chunk: about one simulated second
+    for k0 in range(0, grid.t.size, step):
+        ticks = range(k0, min(k0 + step, grid.t.size))
+        rows, n = [[], [], []], [0, 0, 0]  # each tick's IMU, UWB and camera row, -1 for none
+        for kk in ticks:
+            for s, e in enumerate(every):
+                rows[s].append(n[s] if kk % e == 0 else -1)
+                n[s] += kk % e == 0
+        n_imu, n_uwb, n_cam = n
+        rows = [np.array(r) for r in rows]
+        R = len(ids)
+        chunk = SensorChunk(
+            ids, grid.t[k0:ticks.stop], *rows,
+            imu=np.empty((R, n_imu, 6)),
+            ranges=np.full((R, n_uwb, R), np.nan),
+            in_range=np.zeros((R, n_uwb, R), dtype=bool),
+            pixels=np.full((R, n_cam, R, 2), np.nan),
+            seen=np.zeros((R, n_cam, R), dtype=bool),
+            lit=np.zeros((n_cam, R), dtype=bool),
+            rp=np.full((R, n_cam, 2), np.nan),
+            locked=np.zeros((R, n_cam), dtype=bool),
+        )
+        for kk, a, b, c in zip(ticks, *rows):
+            t = kk / master
+            states = [grid.states[rid].at(kk) for rid in ids]
+            for i, rid in enumerate(ids):
+                st = states[i]
+                if a >= 0:
+                    chunk.imu[i, a] = np.concatenate(
+                        synth_imu(st, world.noise, 1.0 / world.imu_rate, world._rng[(rid, "imu")])
                     )
-                    if px is not None:
-                        led = world.robots[other][1]
-                        lit = lit_at(t, world.lib.duty_of(led), world.lib.period)
-                        s.detections.append((other, px, lit))
-            frame[rid] = s
-        yield SensorFrame(t, frame, has_imu, has_cam, has_uwb)
+                if b >= 0:
+                    for j in range(R):
+                        if j == i:
+                            continue
+                        rng = synth_uwb(st.p, states[j].p, world.noise, world._rng[(rid, "uwb")])
+                        if rng is not None:
+                            chunk.ranges[i, b, j], chunk.in_range[i, b, j] = rng, True
+                if c >= 0:
+                    try:
+                        chunk.rp[i, c] = synth_attitude_rp(st.q, world.noise, world._rng[(rid, "att")])
+                    except GimbalLock:
+                        chunk.locked[i, c] = True  # no roll/pitch this tick
+                    chunk.lit[c, i] = lit_at(t, world.lib.duty_of(world.robots[rid][1]), world.lib.period)
+                    for j in range(R):
+                        if j == i:
+                            continue
+                        px = synth_detection(
+                            st.p, st.q, states[j].p, world.k, world.obstacles,
+                            world.noise, world._rng[(rid, "cam")],
+                        )
+                        if px is not None:
+                            chunk.pixels[i, c, j], chunk.seen[i, c, j] = px, True
+        yield from chunk.frames()
