@@ -13,6 +13,7 @@ import numpy as np
 from relpose.metrics import error_series
 from relpose.runner import run_scenario
 from relpose.scenario import load_config
+from relpose.trajectory import eval_trajectory
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "occlusion_five_robot.json"
 
@@ -25,8 +26,9 @@ def main() -> None:
     ser = res.pgo[1]
     errs = error_series(res.gt_pair(ser, cfg.ego, 1))
 
+    traj_ego, traj_one = res.world.robots[cfg.ego][0], res.world.robots[1][0]
     blocked = np.array([
-        box.intersects_segment(res.world.truth(cfg.ego, t).p, res.world.truth(1, t).p)
+        box.intersects_segment(eval_trajectory(traj_ego, t).p, eval_trajectory(traj_one, t).p)
         for t in ser.t
     ])
     occ = errs[blocked, 1]

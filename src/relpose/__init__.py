@@ -4,7 +4,7 @@ Layers, bottom up:
 
 - `geom` / `camera`: rotation algebra and the Double Sphere fisheye model.
 - `codec`: LED duty-cycle ID encoding/decoding and spot tracking.
-- `trajectory` / `world`: deterministic seeded simulator and message bus.
+- `trajectory` / `world`: deterministic seeded simulator.
 - `rawpose`: closed-form relative pose from one frame of mutual bearings,
   UWB range, and gravity-referenced roll/pitch.
 - `eskf`: error-state Kalman filter in the observer's moving frame.

@@ -3,8 +3,8 @@
 Wires the world's sensor streams through the ID codec, the raw closed-form
 solve, one relative-pose filter per observed pair, and (optionally) a
 per-frame pose graph in the ego robot's frame. Raw measurements are formed
-per chunk of the sensor tape, before its filters run; the IMU samples that
-the filters fuse flow through the message bus.
+per chunk of the sensor tape, before its filters run; on each IMU tick every
+pair filter predicts from both robots' rows of the chunk's IMU array.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .metrics import AlignedPair, error_series, summarize
 from .pgo import edges_from_filters, solve
 from .rawpose import RawPoseMeasurement, RawSolve, raw_estimate
 from .scenario import ScenarioConfig
-from .world import MessageBus, SensorChunk, World
+from .world import SensorChunk, World
 
 
 @dataclass
@@ -216,11 +216,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     run_eskf = cfg.estimator in ("eskf", "pgo")
     run_pgo = cfg.estimator == "pgo"
 
-    bus = MessageBus(ids, seed=cfg.seed ^ 0x5BD1E995)
     raw = _RawMeasurements(cfg, world, pairs)
     filters = {pair: RelativePoseFilter() for pair in pairs}
-    last_imu: dict[int, np.ndarray] = {}
-    neighbor_imu: dict[int, dict[int, tuple]] = {rid: {} for rid in ids}
+    obs_of, tgt_of = raw.obs.tolist(), raw.tgt.tolist()  # each pair's robot indices on the tape
     last_meas_t: dict[tuple[int, int], float] = {}
 
     # raw rows as (m, 8) blocks per chunk; one row of plain values per filter
@@ -254,24 +252,18 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                         k.tolist(), c.tolist(), t_rows.tolist(), z.p_ba[ok], z.p_ab[ok], z.q_ba[ok]
                     )
                 }
-
-        # -- IMU over the bus ------------------------------------------------
-        if frame.has_imu:
-            for i, rid in enumerate(ids):
-                last_imu[rid] = chunk.imu[i, frame.imu]
-                bus.publish(rid, t, last_imu[rid])
-        for rid in ids:
-            for sender, imu in bus.poll(rid, t):
-                neighbor_imu[rid][sender] = (t, imu)
+                # each robot's IMU rows as (accel, gyro) views, and per pair
+                # whether both robots' rows are finite
+                imu = [[(row[:3], row[3:]) for row in rows] for rows in chunk.imu]
+                finite = np.isfinite(chunk.imu).all(axis=2)
+                imu_ok = (finite[raw.obs] & finite[raw.tgt]).tolist()
 
         # -- estimate ------------------------------------------------------
         if frame.has_imu and run_eskf:
-            for (obs, tgt), f in filters.items():
-                own = last_imu.get(obs)
-                peer = neighbor_imu[obs].get(tgt)
-                if own is None or peer is None or abs(peer[0] - t) > 1e-9:
-                    continue
-                f.process_imu(ImuPairInput(peer[1][:3], peer[1][3:], own[:3], own[3:], imu_dt))
+            r = frame.imu
+            for f, obs, tgt, ok in zip(filters.values(), obs_of, tgt_of, imu_ok):
+                if ok[r]:  # a non-finite row skips the pair's prediction
+                    f.process_imu(ImuPairInput(*imu[tgt][r], *imu[obs][r], imu_dt))
 
         if frame.has_cam and run_eskf:
             for pair, f in filters.items():

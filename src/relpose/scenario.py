@@ -4,7 +4,7 @@ Schema (JSON, ``version: 1``) — all fields with defaults may be omitted:
 
     {
       "version": 1,
-      "seed": 42,                  // seeds the sensor noise and the message bus
+      "seed": 42,                  // seeds the sensor noise
       "duration": 10.0,            // seconds
       "ego": 0,                    // observer whose frame PGO fixes
       "estimator": "eskf",         // "raw" | "eskf" | "pgo"
@@ -66,9 +66,13 @@ class ScenarioConfig:
         if self.ego not in ids:
             raise ConfigError(f"ego: robot {self.ego} not in robots")
         leds = sorted(i for i, _ in IdLibrary().entries)
+        owner: dict[int, int] = {}
         for rid, _, led in self.robots:
             if led not in leds:
                 raise ConfigError(f"robots: robot {rid} has led {led}, not an LED id of the library {leds}")
+            if led in owner:
+                raise ConfigError(f"robots: robots {owner[led]} and {rid} both have led {led}")
+            owner[led] = rid
         if self.estimator not in ("raw", "eskf", "pgo"):
             raise ConfigError(f"estimator: unknown value {self.estimator!r}")
         if self.pairs not in ("ego", "all"):

@@ -1,4 +1,4 @@
-"""Deterministic multi-robot world: sensor synthesis, occlusion, message bus.
+"""Deterministic multi-robot world: ground truth, sensor synthesis, occlusion.
 
 All randomness flows from one 64-bit seed through named child streams
 (``numpy.random.SeedSequence``), so two runs with the same scenario and
@@ -20,7 +20,8 @@ import numpy as np
 from .camera import DEFAULT_INTRINSICS, DsIntrinsics, ds_project_array
 from .codec import IdLibrary, lit_at
 from .geom import euler_zyx_from_rotmats, rotmats_from_quats
-from .trajectory import TrajectorySpec, TrajectoryState, eval_trajectory, eval_trajectory_array
+# nothing here calls eval_trajectory; relbench/tracer.py wraps it under this module's name
+from .trajectory import TrajectorySpec, TrajectoryState, eval_trajectory, eval_trajectory_array  # noqa: F401
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 UWB_MAX_RANGE = 500.0  # meters; beyond this the range sample is dropped
@@ -116,52 +117,6 @@ class Obstacle:
 def _dot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise dot products through matmul, as `x @ y` or `np.linalg.norm` takes one row."""
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
-class MessageBus:
-    """In-process broadcast bus with fixed latency and i.i.d. loss.
-
-    Per-sender delivery order is preserved. Polling is read-only per
-    consumer cursor, so concurrent pollers are safe. The bus drops the
-    packets all its consumers have read, so its memory stays bounded on
-    long runs.
-    """
-
-    def __init__(self, consumers, latency: float = 0.0, loss_rate: float = 0.0, seed: int = 0):
-        if not (0.0 <= loss_rate <= 1.0):
-            raise ValueError("loss_rate must be in [0, 1]")
-        self.latency = latency
-        self.loss_rate = loss_rate
-        self._rng = np.random.default_rng(seed)
-        self._queue: list[tuple[float, int, object]] = []  # (deliver_at, sender, payload)
-        self._base = 0  # packets dropped from the front of the queue
-        self._cursor: dict[int, int] = dict.fromkeys(consumers, 0)
-
-    def publish(self, sender: int, t: float, payload) -> None:
-        if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
-            return
-        self._queue.append((t + self.latency, sender, payload))
-
-    def poll(self, robot: int, t: float) -> list[tuple[int, object]]:
-        """Packets from other robots that became available since last poll."""
-        if robot not in self._cursor:
-            raise ValueError(f"robot {robot} is not a consumer of this bus")
-        start = self._cursor[robot] - self._base
-        out = []
-        last = start
-        for k in range(start, len(self._queue)):
-            deliver_at, sender, payload = self._queue[k]
-            if deliver_at > t + 1e-12:
-                break
-            last = k + 1
-            if sender != robot:
-                out.append((sender, payload))
-        self._cursor[robot] = self._base + last
-        read = min(self._cursor.values()) - self._base
-        if read and 2 * read >= len(self._queue):  # amortized O(1) per packet
-            del self._queue[:read]
-            self._base += read
-        return out
 
 
 def _relative_truth(obs: TrajectoryState, tgt: TrajectoryState) -> tuple[np.ndarray, np.ndarray]:
@@ -298,9 +253,6 @@ class World:
             states = {rid: eval_trajectory_array(spec, t) for rid, (spec, _) in self.robots.items()}
             self._grid = TruthGrid(self._master_rate, t, states)
         return self._grid
-
-    def truth(self, rid: int, t: float):
-        return eval_trajectory(self.robots[rid][0], t)
 
     def relative_truth(self, observer: int, target: int, t: float):
         """Ground-truth (p, R) of target in the observer body frame at any time t."""

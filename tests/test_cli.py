@@ -79,6 +79,21 @@ def test_run_unknown_led_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_repeated_led_exits_2(tmp_path, capsys):
+    cfg = write_small_scenario(
+        tmp_path,
+        robots=[
+            {"id": 0, "trajectory": {"kind": "static", "center": [0, 0, 1]}},
+            {"id": 1, "led": 2, "trajectory": {"kind": "static", "center": [4, 0, 1]}},
+            {"id": 2, "trajectory": {"kind": "static", "center": [0, 4, 1]}},
+        ],
+    )
+    rc = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error: robots: robots 1 and 2 both have led 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_strict_flag_accepts_converged(tmp_path, capsys):
     cfg = write_small_scenario(
         tmp_path, estimator="pgo", pairs="all", pgo_rate=5.0,

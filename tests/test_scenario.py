@@ -74,6 +74,19 @@ def test_unknown_led_rejected():
     assert config_from_dict(d).robots[1][2] == 7
 
 
+def test_repeated_led_rejected():
+    d = minimal_dict()
+    d["robots"].append({"id": 2, "led": 1, "trajectory": {"kind": "static", "center": [0, 3, 1]}})
+    with pytest.raises(ConfigError, match="robots 1 and 2 both have led 1"):
+        config_from_dict(d)
+    d = minimal_dict()
+    d["robots"][0]["led"] = 1  # robot 1's led defaults to its id
+    with pytest.raises(ConfigError, match="robots 0 and 1 both have led 1"):
+        config_from_dict(d)
+    d["robots"][1]["led"] = 0  # swapped ids are distinct
+    assert [r[2] for r in config_from_dict(d).robots] == [1, 0]
+
+
 def test_enum_fields_validated():
     with pytest.raises(ConfigError, match="estimator"):
         config_from_dict(minimal_dict(estimator="magic"))

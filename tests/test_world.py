@@ -3,8 +3,8 @@ import pytest
 
 from relpose.camera import DEFAULT_INTRINSICS, ds_unproject
 from relpose.geom import rotmat_from_quat
-from relpose.trajectory import TrajectorySpec, AttitudeProfile
-from relpose.world import GRAVITY, UWB_MAX_RANGE, MessageBus, NoiseParams, Obstacle, World
+from relpose.trajectory import TrajectorySpec, AttitudeProfile, eval_trajectory
+from relpose.world import GRAVITY, UWB_MAX_RANGE, NoiseParams, Obstacle, World
 from world_reference import synth_detection, synth_imu, synth_uwb, zeroed
 
 QUIET = zeroed(NoiseParams())
@@ -21,7 +21,7 @@ def two_robot_world(noise=QUIET, obstacles=None, **kw):
 
 def test_noiseless_imu_measures_specific_force():
     w = two_robot_world()
-    s = w.truth(1, 2.0)
+    s = eval_trajectory(w.robots[1][0], 2.0)
     accel, gyro = synth_imu(s, QUIET, 0.01, np.random.default_rng(0))
     R = rotmat_from_quat(s.q)
     assert np.allclose(accel, R.T @ (s.a - GRAVITY), atol=1e-12)
@@ -30,7 +30,7 @@ def test_noiseless_imu_measures_specific_force():
 
 def test_static_imu_reads_one_g():
     w = two_robot_world()
-    s = w.truth(0, 0.0)
+    s = eval_trajectory(w.robots[0][0], 0.0)
     accel, gyro = synth_imu(s, QUIET, 0.01, np.random.default_rng(0))
     assert np.allclose(accel, [0, 0, 9.81], atol=1e-12)
     assert np.allclose(gyro, 0.0)
@@ -39,7 +39,7 @@ def test_static_imu_reads_one_g():
 def test_imu_noise_scales_with_rate():
     # discrete sigma = density / sqrt(dt): quarter dt doubles the noise
     noise = NoiseParams()
-    s = two_robot_world().truth(0, 0.0)
+    s = eval_trajectory(two_robot_world().robots[0][0], 0.0)
     samples_a, samples_b = [], []
     rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
     for _ in range(4000):
@@ -70,7 +70,7 @@ def test_uwb_clamped_at_zero():
 
 def test_detection_pixel_unprojects_to_true_bearing():
     w = two_robot_world()
-    s0, s1 = w.truth(0, 1.0), w.truth(1, 1.0)
+    s0, s1 = eval_trajectory(w.robots[0][0], 1.0), eval_trajectory(w.robots[1][0], 1.0)
     px = synth_detection(s0.p, s0.q, s1.p, DEFAULT_INTRINSICS, [], QUIET, np.random.default_rng(0))
     assert px is not None
     (b,), ok = ds_unproject([px], DEFAULT_INTRINSICS)
@@ -180,72 +180,6 @@ def test_relative_truth():
     # observer 0 at (0,0,1) identity attitude; robot 1 starts at (5,0,1)
     assert np.allclose(p, [5.0, 0.0, 0.0])
     assert np.allclose(R, np.eye(3))
-
-
-def test_bus_delivery_and_cursor():
-    bus = MessageBus((0, 1))
-    bus.publish(0, 0.0, "a")
-    bus.publish(1, 0.0, "b")
-    got = bus.poll(0, 0.0)
-    assert got == [(1, "b")]  # own packet suppressed
-    assert bus.poll(0, 0.0) == []  # cursor advanced
-
-
-def test_bus_latency():
-    bus = MessageBus((0, 1), latency=0.1)
-    bus.publish(0, 0.0, "x")
-    assert bus.poll(1, 0.05) == []
-    assert bus.poll(1, 0.1) == [(0, "x")]
-
-
-def test_bus_loss_rate_statistics():
-    bus = MessageBus((0, 1), loss_rate=0.3, seed=7)
-    for k in range(1000):
-        bus.publish(0, 0.0, k)
-    got = bus.poll(1, 0.0)
-    assert 600 <= len(got) <= 800
-
-
-def test_bus_order_preserved():
-    bus = MessageBus((0, 1))
-    for k in range(5):
-        bus.publish(0, 0.1 * k, k)
-    got = [p for _, p in bus.poll(1, 1.0)]
-    assert got == [0, 1, 2, 3, 4]
-
-
-def test_bus_queue_stays_bounded():
-    # two robots polling every tick, packets held back two ticks by latency
-    bus = MessageBus((0, 1), latency=0.02)
-    got = {0: [], 1: []}
-    longest = 0
-    for k in range(5000):
-        t = 0.01 * k
-        bus.publish(0, t, k)
-        bus.publish(1, t, k)
-        for rid in (0, 1):
-            got[rid] += [p for _, p in bus.poll(rid, t)]
-        longest = max(longest, len(bus._queue))
-    for rid in (0, 1):
-        got[rid] += [p for _, p in bus.poll(rid, 1e9)]
-    assert got == {0: list(range(5000)), 1: list(range(5000))}
-    assert longest <= 16
-
-
-def test_bus_keeps_packets_a_consumer_has_not_read():
-    bus = MessageBus((0, 1))
-    for k in range(100):
-        bus.publish(0, 0.01 * k, k)
-        bus.poll(0, 0.01 * k)
-    assert [p for _, p in bus.poll(1, 1.0)] == list(range(100))
-    assert bus._queue == []
-    with pytest.raises(ValueError):
-        bus.poll(2, 1.0)
-
-
-def test_bus_validates_loss_rate():
-    with pytest.raises(ValueError):
-        MessageBus((0, 1), loss_rate=1.5)
 
 
 def test_noise_params_validation():
