@@ -42,17 +42,25 @@ def _rms(x: np.ndarray) -> float:
 
 
 def summarize(s: np.ndarray, boxplots: bool = False) -> dict:
-    """ATE, medians and sample count of one error series, plus boxplots on request."""
-    out = {
-        "ate_pos_m": _rms(s[:, 1]),
-        "ate_rot_deg": _rms(s[:, 2]),
-        "median_pos_m": float(np.median(s[:, 1])),
-        "median_rot_deg": float(np.median(s[:, 2])),
-    }
+    """ATE and medians of the finite rows of one error series, its row count, and boxplots on request.
+
+    Rows with a non-finite error are left out of the figures and counted as
+    "n_dropped", a key present only when some are. A series without a finite
+    row has every figure None, which JSON writes as null.
+    """
+    kept = s[np.isfinite(s[:, 1:]).all(axis=1)]
+    pos, rot = kept[:, 1], kept[:, 2]
+    out = dict.fromkeys(("ate_pos_m", "ate_rot_deg", "median_pos_m", "median_rot_deg"))
     if boxplots:
-        out["boxplot_pos"] = boxplot_stats(s[:, 1])
-        out["boxplot_rot"] = boxplot_stats(s[:, 2])
-    out["n_samples"] = int(s.shape[0])
+        out.update(boxplot_pos=None, boxplot_rot=None)
+    if kept.size:
+        out.update(ate_pos_m=_rms(pos), ate_rot_deg=_rms(rot))
+        out.update(median_pos_m=float(np.median(pos)), median_rot_deg=float(np.median(rot)))
+        if boxplots:
+            out.update(boxplot_pos=boxplot_stats(pos), boxplot_rot=boxplot_stats(rot))
+    out["n_samples"] = len(s)
+    if len(kept) < len(s):
+        out["n_dropped"] = len(s) - len(kept)
     return out
 
 

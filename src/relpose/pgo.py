@@ -1,4 +1,4 @@
-"""Single-frame pose-graph optimization over a robot team.
+"""Pose-graph optimization over a robot team, one graph or a stack of graphs.
 
 Nodes are robot poses in the ego robot's frame (ego fixed to identity);
 edges are measured pairwise relative poses. The residual per edge is the
@@ -6,6 +6,9 @@ squared Frobenius norm of (T_hat_ij * X_j^-1 * X_i - I) over homogeneous
 4x4 matrices; an edge is exactly consistent when T_hat_ij equals the pose
 of robot j expressed in robot i's frame. Solved by Levenberg-Marquardt on
 the SE(3) manifold with analytic Jacobians and Huber reweighting.
+
+`solve_stack` solves a stack of graphs with the same edges, each as `solve`
+solves it alone; the runner stacks a chunk's graphs per edge mask.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import Pose
+from .geom import Pose, rotmats_from_quats
 
 # SE(3) right-perturbation generators: d/deps Exp(eps e_k) at 0, 4x4
 _GEN = np.zeros((6, 4, 4))
@@ -31,6 +34,7 @@ _SMALL_ANGLE = (1.0, 0.5, 0.5, 0.0)  # the se3_exp coefficients below 1e-8 rad
 HUBER_DELTA = 0.5  # residual r2 above which an edge's loss turns linear in sqrt(r2)
 MAX_ITERS = 25  # LM iterations per solve
 REL_TOL = 1e-10  # converged when an accepted step lowers the cost by less than this fraction
+JACOBIAN_BYTES = 1 << 18  # a stack builds its dense Jacobians at most this many bytes at a time
 
 
 @dataclass
@@ -54,21 +58,6 @@ class PoseGraph:
             if e.i == e.j:
                 raise ValueError("self-edges are not allowed")
 
-    def connected_nodes(self) -> set[int]:
-        """Nodes reachable from the ego through edges."""
-        adj: dict[int, set[int]] = {}
-        for e in self.edges:
-            adj.setdefault(e.i, set()).add(e.j)
-            adj.setdefault(e.j, set()).add(e.i)
-        seen = {self.ego}
-        stack = [self.ego]
-        while stack:
-            for n in adj.get(stack.pop(), ()):
-                if n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        return seen
-
 
 @dataclass
 class SolveReport:
@@ -79,6 +68,17 @@ class SolveReport:
     excluded: list[int] = field(default_factory=list)
 
 
+@dataclass
+class StackReport:
+    """A stack's totals, then the per-graph arrays (B,) they sum up."""
+    iterations: int  # summed over the graphs
+    converged: bool  # every graph converged
+    graph_iterations: np.ndarray
+    graph_converged: np.ndarray
+    initial_cost: np.ndarray
+    final_cost: np.ndarray
+
+
 def residual(X_i: Pose, X_j: Pose, T_hat_ij: Pose) -> float:
     """Chordal residual ||T_hat_ij (X_j^-1 X_i) - I||_F^2."""
     E = T_hat_ij.matrix() @ X_j.inverse().matrix() @ X_i.matrix() - np.eye(4)
@@ -86,8 +86,8 @@ def residual(X_i: Pose, X_j: Pose, T_hat_ij: Pose) -> float:
 
 
 # -- stacked edges --------------------------------------------------------------
-# The solver keeps the nodes as one (n, 4, 4) stack of homogeneous matrices
-# and the edges as index arrays into it, so that every residual, Jacobian and
+# Each graph's nodes are one (n, 4, 4) stack of homogeneous matrices, its edges
+# index arrays into it, and the graphs are stacked: every residual, Jacobian and
 # trial cost of an iteration is a handful of batched array operations.
 
 
@@ -95,41 +95,39 @@ def residual(X_i: Pose, X_j: Pose, T_hat_ij: Pose) -> float:
 class _Edges:
     ii: np.ndarray  # (E,) node slot of X_i
     jj: np.ndarray  # (E,) node slot of X_j
-    T_hat: np.ndarray  # (E, 4, 4)
-    weight: np.ndarray  # (E,)
+    T_hat: np.ndarray  # (..., E, 4, 4)
+    weight: np.ndarray  # (..., E)
 
 
-def _stack(poses) -> np.ndarray:
-    """(n, 4, 4) homogeneous matrices of a sequence of poses."""
-    T = np.zeros((len(poses), 4, 4))
-    T[:, :3, :3] = [p.R for p in poses]
-    T[:, :3, 3] = [p.t for p in poses]
-    T[:, 3, 3] = 1.0
+def _stack(R, t) -> np.ndarray:
+    """(..., 4, 4) homogeneous matrices of rotations R (..., 3, 3) and translations t (..., 3)."""
+    T = np.zeros(np.shape(R)[:-2] + (4, 4))
+    T[..., :3, :3], T[..., :3, 3], T[..., 3, 3] = R, t, 1.0
     return T
 
 
 def _inverse(T: np.ndarray) -> np.ndarray:
-    R_T = T[:, :3, :3].transpose(0, 2, 1)
+    R_T = T[..., :3, :3].swapaxes(-1, -2)
     T_inv = np.zeros_like(T)
-    T_inv[:, :3, :3] = R_T
-    T_inv[:, :3, 3] = -(R_T @ T[:, :3, 3:])[:, :, 0]
-    T_inv[:, 3, 3] = 1.0
+    T_inv[..., :3, :3] = R_T
+    T_inv[..., :3, 3] = -(R_T @ T[..., :3, 3:])[..., 0]
+    T_inv[..., 3, 3] = 1.0
     return T_inv
 
 
 def _residuals(T: np.ndarray, edges: _Edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """N = X_j^-1 X_i, E = T_hat N - I and the weighted r2 of every edge."""
-    N = _inverse(T)[edges.jj] @ T[edges.ii]
+    N = _inverse(T)[..., edges.jj, :, :] @ T[..., edges.ii, :, :]
     E = edges.T_hat @ N
-    E[:, _DIAG4, _DIAG4] -= 1.0
-    r2 = edges.weight * np.einsum("eab,eab->e", E, E)
+    E[..., _DIAG4, _DIAG4] -= 1.0
+    r2 = edges.weight * np.einsum("...ab,...ab->...", E, E)
     return N, E, r2
 
 
-def _robust_cost(r2: np.ndarray, delta: float) -> float:
-    """Sum of Huber(r2): r2 inside delta, 2 delta sqrt(r2) - delta^2 outside."""
+def _robust_cost(r2: np.ndarray, delta: float) -> np.ndarray:
+    """Sum over the last axis of Huber(r2): r2 inside delta, 2 delta sqrt(r2) - delta^2 outside."""
     s = np.sqrt(np.maximum(r2, 0.0))
-    return float(np.where(s <= delta, r2, 2.0 * delta * s - delta * delta).sum())
+    return np.where(s <= delta, r2, 2.0 * delta * s - delta * delta).sum(axis=-1)
 
 
 def _se3_exp(xi: np.ndarray) -> np.ndarray:
@@ -171,157 +169,161 @@ def _retract(T: np.ndarray, step: np.ndarray) -> np.ndarray:
     return out
 
 
+def _normal_equations(N, E, r2, edges: _Edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """J^T W J (b, 6n, 6n) and J^T W r (b, 6n) of b graphs, W the IRLS Huber weights.
+
+    Analytic Jacobians of every edge w.r.t. X_i <- X_i Exp(eps) and
+    X_j <- X_j Exp(eps): dE = M G_k and dE = -T_hat G_k N, M = T_hat N.
+    """
+    b, m = r2.shape
+    M = E.copy()
+    M[..., _DIAG4, _DIAG4] += 1.0
+    dE_i = (M[:, :, None] @ _GEN).reshape(b, m, 6, 16)
+    dE_j = -(edges.T_hat[:, :, None] @ _GEN @ N[:, :, None]).reshape(b, m, 6, 16)
+    # one row per parameter, one column per residual entry; the ego slot has no rows
+    J = np.zeros((b, n, 6, m, 16))
+    for slots, dE in ((edges.ii, dE_i), (edges.jj, dE_j)):
+        free = slots < n
+        J[:, slots[free], :, np.flatnonzero(free)] = dE[:, free].swapaxes(0, 1)
+    J = J.reshape(b, 6 * n, 16 * m)
+    s = np.sqrt(np.maximum(r2, 1e-300))
+    Jw = J * np.repeat(edges.weight * np.where(s <= HUBER_DELTA, 1.0, HUBER_DELTA / s), 16, axis=1)[:, None]
+    return Jw @ J.transpose(0, 2, 1), (Jw @ E.reshape(b, -1, 1))[:, :, 0]
+
+
+def _damped_steps(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each system's solution of A x = rhs, and which were not singular; one singular
+    matrix makes the batched solve raise, and each system is then solved alone."""
+    try:
+        return np.linalg.solve(A, rhs[:, :, None])[:, :, 0], np.ones(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.zeros_like(rhs), np.zeros(1, dtype=bool)
+        steps, ok = zip(*(_damped_steps(A[k : k + 1], rhs[k : k + 1]) for k in range(len(A))))
+        return np.concatenate(steps), np.concatenate(ok)
+
+
+def solve_stack(T: np.ndarray, edges: _Edges) -> tuple[np.ndarray, StackReport]:
+    """LM over a stack of B graphs with the same edges: nodes T (B, n+1, 4, 4), the ego's last.
+
+    Each graph keeps its own damping, tries, iteration count and stop tests,
+    as masks over the stack, and takes the steps it takes alone.
+    """
+    T = T.copy()
+    B, n = T.shape[0], T.shape[1] - 1
+    N, E, r2 = _residuals(T, edges)
+    cost = _robust_cost(r2, HUBER_DELTA)
+    initial_cost, lam = cost.copy(), np.full(B, 1e-6)
+    iterations, converged = np.zeros(B, dtype=int), np.zeros(B, dtype=bool)
+    ii, jj, diag = edges.ii, edges.jj, np.arange(6 * n)
+    per_slice = max(JACOBIAN_BYTES // (6 * n * 16 * len(ii) * 8), 1)
+    live = np.arange(B)  # the graphs still iterating
+    for it in range(1, MAX_ITERS + 1):
+        iterations[live] = it
+        b = live.size
+        JtJ, Jtr = np.empty((b, 6 * n, 6 * n)), np.empty((b, 6 * n))
+        for k in range(0, b, per_slice):  # the dense Jacobians of a slice at a time
+            g, rows = live[k : k + per_slice], slice(k, k + per_slice)
+            stacked = _Edges(ii, jj, edges.T_hat[g], edges.weight[g])
+            JtJ[rows], Jtr[rows] = _normal_equations(N[g], E[g], r2[g], stacked, n)
+        D = np.zeros_like(JtJ)
+        D[:, diag, diag] = np.maximum(JtJ[:, diag, diag], 1e-12)
+        gain = np.full(b, np.nan)  # NaN until a step is accepted, then its cost decrease (> 0)
+        trying = np.arange(b)  # rows of `live` without an accepted step
+        for _ in range(12):
+            g = live[trying]
+            step, ok = _damped_steps(JtJ[trying] + lam[g, None, None] * D[trying], -Jtr[trying])
+            lam[g[~ok]] *= 10.0
+            g, rows = g[ok], trying[ok]
+            trial = T[g]
+            free = _retract(trial[:, :n].reshape(-1, 4, 4), step[ok].reshape(-1, 6))
+            trial[:, :n] = free.reshape(-1, n, 4, 4)
+            trial_N, trial_E, trial_r2 = _residuals(trial, _Edges(ii, jj, edges.T_hat[g], edges.weight[g]))
+            trial_cost = _robust_cost(trial_r2, HUBER_DELTA)
+            down = trial_cost < cost[g]
+            a = g[down]
+            gain[rows[down]] = cost[a] - trial_cost[down]
+            T[a], N[a], E[a] = trial[down], trial_N[down], trial_E[down]
+            r2[a], cost[a] = trial_r2[down], trial_cost[down]
+            lam[a] = np.maximum(lam[a] * 0.3, 1e-12)
+            lam[g[~down]] *= 10.0
+            trying = trying[np.isnan(gain[trying])]
+            if not trying.size:
+                break
+        # converged: no descent direction left, or too small a decrease
+        c = cost[live]
+        done = np.isnan(gain) | (gain <= REL_TOL * np.maximum(c, 1e-300)) | (c < 1e-24)
+        converged[live[done]] = True
+        live = live[~done]
+        if not live.size:
+            break
+    totals = int(iterations.sum()), bool(converged.all())
+    return T, StackReport(*totals, iterations, converged, initial_cost, cost)
+
+
+def _topology(ego: int, pairs: list) -> tuple | None:
+    """The robots the edges (i, j) reach from the ego, in id order; the BFS steps (parent,
+    child, edge, inverted) that first reach them, adjacency in edge order, first in first out;
+    the edges among them and their node slots ii, jj, the ego's last. None if they reach none."""
+    adj: dict[int, list] = {}
+    for k, (i, j) in enumerate(pairs):
+        adj.setdefault(i, []).append((j, k, False))
+        adj.setdefault(j, []).append((i, k, True))
+    seen, tree, frontier = {ego}, [], [ego]
+    while frontier:
+        cur = frontier.pop(0)
+        for nb, k, inverted in adj.get(cur, ()):
+            if nb not in seen:
+                seen.add(nb)
+                tree.append((cur, nb, k, inverted))
+                frontier.append(nb)
+    free = sorted(seen - {ego})
+    slot = {rid: s for s, rid in enumerate(free + [ego])}
+    used = [k for k, (i, _) in enumerate(pairs) if i in seen]
+    ii, jj = (np.array([slot[pairs[k][end]] for k in used], dtype=np.intp) for end in (0, 1))
+    return (free, tree, used, ii, jj) if free else None
+
+
 def solve(graph: PoseGraph) -> tuple[dict[int, Pose], SolveReport]:
     """LM over the free (non-ego) poses; ego stays pinned to identity.
 
     Returns optimized poses and a report. Nodes unreachable from the ego
     are excluded (listed in the report).
     """
-    reachable = graph.connected_nodes()
-    excluded = sorted(set(graph.nodes) - reachable)
-    free = sorted(n for n in reachable if n != graph.ego)
-    edge_list = [e for e in graph.edges if e.i in reachable and e.j in reachable]
-    if not free or not edge_list:
-        poses = {n: Pose(graph.nodes[n].R.copy(), graph.nodes[n].t.copy()) for n in reachable}
-        poses[graph.ego] = Pose.identity()
-        return poses, SolveReport(0.0, 0.0, 0, True, excluded)
-
-    # slots 0..n-1 hold the free nodes, slot n the ego
-    n = len(free)
-    slot = {node: k for k, node in enumerate(free)}
-    slot[graph.ego] = n
-    T = _stack([graph.nodes[node] for node in free] + [Pose.identity()])
-    edges = _Edges(
-        ii=np.array([slot[e.i] for e in edge_list]),
-        jj=np.array([slot[e.j] for e in edge_list]),
-        T_hat=_stack([e.T_hat for e in edge_list]),
-        weight=np.array([e.weight for e in edge_list], dtype=float),
-    )
-    rows = np.arange(len(edge_list))
-    delta = HUBER_DELTA
-
-    N, E, r2 = _residuals(T, edges)
-    cost = _robust_cost(r2, delta)
-    initial_cost = cost
-    lam = 1e-6
-    converged = False
-    it = 0
-    for it in range(1, MAX_ITERS + 1):
-        # analytic Jacobians of every edge w.r.t. X_i <- X_i Exp(eps) and
-        # X_j <- X_j Exp(eps): dE = M G_k and dE = -T_hat G_k N, M = T_hat N
-        M = E.copy()
-        M[:, _DIAG4, _DIAG4] += 1.0
-        J = np.zeros((n + 1, 6, len(edge_list), 16))
-        J[edges.ii, :, rows] = (M[:, None] @ _GEN).reshape(-1, 6, 16)
-        J[edges.jj, :, rows] = -(edges.T_hat[:, None] @ _GEN @ N[:, None]).reshape(-1, 6, 16)
-        J = J[:n].reshape(6 * n, -1)  # one row per parameter; the ego slot has none
-        # IRLS Huber weights, one per residual entry
-        s = np.sqrt(np.maximum(r2, 1e-300))
-        w = np.repeat(edges.weight * np.where(s <= delta, 1.0, delta / s), 16)
-        Jw = J * w
-        JtJ = Jw @ J.T
-        Jtr = Jw @ E.reshape(-1)
-
-        accepted = False
-        for _ in range(12):
-            A = JtJ + lam * np.diag(np.maximum(np.diag(JtJ), 1e-12))
-            try:
-                step = np.linalg.solve(A, -Jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = T.copy()
-            trial[:n] = _retract(T[:n], step.reshape(n, 6))
-            trial_N, trial_E, trial_r2 = _residuals(trial, edges)
-            trial_cost = _robust_cost(trial_r2, delta)
-            if trial_cost < cost:
-                T, N, E, r2 = trial, trial_N, trial_E, trial_r2
-                lam = max(lam * 0.3, 1e-12)
-                accepted = True
-                improvement = cost - trial_cost
-                cost = trial_cost
-                break
-            lam *= 10.0
-        if not accepted:
-            converged = True  # no descent direction left
-            break
-        if improvement <= REL_TOL * max(cost, 1e-300) or cost < 1e-24:
-            converged = True
-            break
-
-    poses = {
-        node: Pose(T[slot[node], :3, :3], T[slot[node], :3, 3]) for node in reachable
-    }
-    poses[graph.ego] = Pose.identity()
-    return poses, SolveReport(initial_cost, cost, it, converged, excluded)
+    topo = _topology(graph.ego, [(e.i, e.j) for e in graph.edges])
+    free = topo[0] if topo else []
+    excluded = sorted(set(graph.nodes) - set(free) - {graph.ego})
+    if topo is None:
+        return {graph.ego: Pose.identity()}, SolveReport(0.0, 0.0, 0, True, excluded)
+    _, _, used, ii, jj = topo
+    nodes, edges = [graph.nodes[rid] for rid in free] + [Pose.identity()], [graph.edges[k] for k in used]
+    T_hat = _stack([e.T_hat.R for e in edges], [e.T_hat.t for e in edges])[None]
+    edges = _Edges(ii, jj, T_hat, np.array([[e.weight for e in edges]], dtype=float))
+    T, report = solve_stack(_stack([x.R for x in nodes], [x.t for x in nodes])[None], edges)
+    poses = {rid: Pose(T[0, s, :3, :3], T[0, s, :3, 3]) for s, rid in enumerate(free + [graph.ego])}
+    cost = (float(report.initial_cost[0]), float(report.final_cost[0]))
+    return dict(sorted(poses.items())), SolveReport(*cost, report.iterations, report.converged, excluded)
 
 
-def edges_from_filters(ego: int, estimates: dict[tuple[int, int], Pose]) -> PoseGraph:
-    """Build an ego-frame graph from pairwise estimates.
+def initial_stack(ego: int, pairs: list, p: np.ndarray, q: np.ndarray) -> tuple | None:
+    """The free robots, initial nodes (B, n+1, 4, 4) and edges of B graphs of the edges `pairs`.
 
-    estimates[(i, j)] is the pose of robot j in robot i's frame (the output
-    frame of robot i's filter tracking j). Ego-observed robots initialize
-    from the direct estimate; others are initialized by composing along any
-    available edge path from the ego.
+    Pair (i, j) measures robot j in robot i's frame: p (B, P, 3), q (B, P, 4). Nodes are composed
+    along the BFS tree as `Pose.compose` and `Pose.inverse` compose them. None if no edge reaches the ego.
     """
-    nodes: dict[int, Pose] = {ego: Pose.identity()}
-    edges = [Edge(i, j, T) for (i, j), T in estimates.items()]
-    # init by BFS composition from ego
-    adj: dict[int, list[tuple[int, Pose]]] = {}
-    for (i, j), T in estimates.items():
-        adj.setdefault(i, []).append((j, T))
-        adj.setdefault(j, []).append((i, T.inverse()))
-    frontier = [ego]
-    while frontier:
-        cur = frontier.pop(0)
-        for nb, T in adj.get(cur, ()):
-            if nb not in nodes:
-                nodes[nb] = nodes[cur].compose(T)
-                frontier.append(nb)
-    return PoseGraph(ego=ego, nodes=nodes, edges=edges)
-
-
-def dump_graph(graph: PoseGraph) -> str:
-    """Line-based text dump: NODE id tx ty tz qw qx qy qz / EDGE i j ... w."""
-    from .geom import quat_from_rotmat
-
-    lines = [f"EGO {graph.ego}"]
-    for n in sorted(graph.nodes):
-        p = graph.nodes[n]
-        q = quat_from_rotmat(p.R)
-        vals = " ".join(f"{x:.17g}" for x in (*p.t, *q))
-        lines.append(f"NODE {n} {vals}")
-    for e in graph.edges:
-        q = quat_from_rotmat(e.T_hat.R)
-        vals = " ".join(f"{x:.17g}" for x in (*e.T_hat.t, *q))
-        lines.append(f"EDGE {e.i} {e.j} {vals} {e.weight:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def load_graph(text: str) -> PoseGraph:
-    from .geom import rotmat_from_quat
-
-    ego = None
-    nodes: dict[int, Pose] = {}
-    edges: list[Edge] = []
-    for line in text.strip().splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "EGO":
-            ego = int(parts[1])
-        elif parts[0] == "NODE":
-            n = int(parts[1])
-            t = np.array([float(x) for x in parts[2:5]])
-            q = np.array([float(x) for x in parts[5:9]])
-            nodes[n] = Pose(rotmat_from_quat(q), t)
-        elif parts[0] == "EDGE":
-            i, j = int(parts[1]), int(parts[2])
-            t = np.array([float(x) for x in parts[3:6]])
-            q = np.array([float(x) for x in parts[6:10]])
-            edges.append(Edge(i, j, Pose(rotmat_from_quat(q), t), float(parts[10])))
-        else:
-            raise ValueError(f"unrecognized graph line: {line!r}")
-    if ego is None:
-        raise ValueError("graph dump missing EGO line")
-    return PoseGraph(ego=ego, nodes=nodes, edges=edges)
+    topo = _topology(ego, pairs)
+    if topo is None:
+        return None
+    (free, tree, used, ii, jj), B = topo, len(p)
+    R = rotmats_from_quats(q.reshape(-1, 4)).reshape(B, -1, 3, 3)
+    nodes = {ego: (np.tile(_EYE3, (B, 1, 1)), np.zeros((B, 3)))}
+    for parent, child, k, inverted in tree:
+        R_k, t_k = R[:, k], p[:, k]
+        if inverted:
+            R_k = R_k.swapaxes(1, 2)
+            t_k = (-R_k @ t_k[:, :, None])[:, :, 0]
+        R_p, t_p = nodes[parent]
+        nodes[child] = (R_p @ R_k, (R_p @ t_k[:, :, None])[:, :, 0] + t_p)
+    R_n, t_n = (np.stack([nodes[rid][c] for rid in free + [ego]], axis=1) for c in (0, 1))
+    edges = _Edges(ii, jj, _stack(R[:, used], p[:, used]), np.ones((B, len(used))))
+    return free, _stack(R_n, t_n), edges

@@ -4,7 +4,8 @@ Wires the world's sensor streams through the ID codec, the raw closed-form
 solve, one relative-pose filter per observed pair, and (optionally) a
 per-frame pose graph in the ego robot's frame. Raw measurements are formed
 per chunk of the sensor tape, before its filters run; on each IMU tick every
-pair filter predicts from both robots' rows of the chunk's IMU array.
+pair filter predicts from both robots' rows of the chunk's IMU array. A
+chunk's PGO frames snapshot the filters; the next chunk's first frame solves them.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from . import __version__
 from .camera import ds_unproject
 from .codec import SpotTracker
 from .eskf import ImuPairInput, RelativePoseFilter, SingularInnovation
-from .geom import Pose, quats_from_rotmats, rotmat_from_quat, rotmats_from_quats
+from .geom import Pose, quats_from_rotmats, rotmats_from_quats
 from .metrics import AlignedPair, error_series, summarize
-from .pgo import edges_from_filters, solve
+# relbench/tracer.py times the stacked solve as relpose.runner.solve (ROADMAP item 10)
+from .pgo import initial_stack, solve_stack as solve
 from .rawpose import RawPoseMeasurement, RawSolve, raw_estimate
 from .scenario import ScenarioConfig
 from .world import SensorChunk, World
@@ -208,6 +210,31 @@ class _RawMeasurements:
         return k, c, t_cam[c], solve
 
 
+def _solve_graphs(ego: int, pairs: list, snaps: list, pgo_rows: dict, pgo_converged: list) -> None:
+    """Solve and empty a chunk's snapshots (t, edge mask, the masked pairs' states), one
+    stack per mask; a mask whose edges miss the ego gives no rows and converges."""
+    groups: dict[tuple, list[int]] = {}
+    for k, (_, edge, _) in enumerate(snaps):
+        groups.setdefault(edge, []).append(k)
+    robots = list(pgo_rows)
+    X = np.zeros((len(snaps), len(robots), 4, 4))
+    solved, converged = np.zeros(X.shape[:2], dtype=bool), np.ones(len(snaps), dtype=bool)
+    for edge, rows in groups.items():
+        p, q = (np.array([[getattr(s, a) for s in snaps[k][2]] for k in rows]) for a in "pq")
+        stack = initial_stack(ego, [pair for pair, e in zip(pairs, edge) if e], p, q)
+        if stack is not None:
+            free, T, edges = stack
+            T, report = solve(T, edges)
+            cols = np.ix_(rows, [robots.index(rid) for rid in free])
+            X[cols], solved[cols], converged[rows] = T[:, :-1], True, report.graph_converged
+    pgo_converged.extend(converged.tolist())
+    t, q = np.array([s[0] for s in snaps]), quats_from_rotmats(X[..., :3, :3]).reshape(solved.shape + (4,))
+    for c, rows in enumerate(pgo_rows.values()):
+        k = solved[:, c]
+        rows.append(np.column_stack((t[k], X[k, c, :3, 3], q[k, c])))
+    snaps.clear()
+
+
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Simulate one scenario and run the configured estimator stack."""
     world = build_world(cfg)
@@ -221,12 +248,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     obs_of, tgt_of = raw.obs.tolist(), raw.tgt.tolist()  # each pair's robot indices on the tape
     last_meas_t: dict[tuple[int, int], float] = {}
 
-    # raw rows as (m, 8) blocks per chunk; one row of plain values per filter
-    # and PGO sample; arrays are built after the loop
+    # raw and PGO rows as (m, 8) blocks per chunk; one row of plain values per
+    # filter sample; arrays are built after the loop
     raw_rows: dict[tuple[int, int], list] = {pair: [] for pair in pairs}
     eskf_rows: dict[tuple[int, int], list] = {pair: [] for pair in pairs}
-    pgo_rows: dict[int, list] = {rid: [] for rid in ids if rid != cfg.ego}
+    pgo_rows: dict[int, list] = {rid: [np.empty((0, 8))] for rid in ids if rid != cfg.ego}
     pgo_converged: list[bool] = []
+    snaps: list[tuple] = []  # the chunk's PGO frames, solved on the next chunk's first frame
 
     imu_dt = 1.0 / cfg.imu_rate
     edge_stale = 0.25  # drop PGO edges whose filter saw no measurement lately
@@ -238,6 +266,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         t = frame.t
         # -- raw measurements of the whole chunk, on its first frame -------
         if frame.chunk is not chunk:
+            if snaps:
+                _solve_graphs(cfg.ego, pairs, snaps, pgo_rows, pgo_converged)
             chunk = frame.chunk
             k, c, t_rows, z = raw.form(chunk)
             ok = z.ok
@@ -281,27 +311,20 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                     eskf_rows[pair].append(np.concatenate(([t], st.p, st.v, q, np.diag(f.belief.P))))
 
             if run_pgo and cam_tick % pgo_every == 0:
-                estimates = {}
-                for (obs, tgt), f in filters.items():
-                    if f.initialized and t - last_meas_t.get((obs, tgt), -1e9) <= edge_stale:
-                        estimates[(obs, tgt)] = Pose(rotmat_from_quat(f.state.q), f.state.p)
-                if estimates:
-                    graph = edges_from_filters(cfg.ego, estimates)
-                    poses, report = solve(graph)
-                    pgo_converged.append(report.converged)
-                    solved = [rid for rid in poses if rid != cfg.ego and rid in pgo_rows]
-                    q = quats_from_rotmats([poses[rid].R for rid in solved])
-                    for rid, q_rid in zip(solved, q):
-                        pgo_rows[rid].append(np.concatenate(([t], poses[rid].t, q_rid)))
+                edge = tuple(t - last_meas_t.get(pair, -1e9) <= edge_stale for pair in pairs)
+                if any(edge):  # the filters replace their states, never write into them
+                    snaps.append((t, edge, [f.state for f, e in zip(filters.values(), edge) if e]))
         if frame.has_cam:
             cam_tick += 1
 
+    if snaps:
+        _solve_graphs(cfg.ego, pairs, snaps, pgo_rows, pgo_converged)
     result = RunResult(
         config=cfg,
         world=world,
         raw={pair: _pose_series(np.concatenate(rows)) for pair, rows in raw_rows.items()},
         eskf={pair: _filter_series(rows) for pair, rows in eskf_rows.items()},
-        pgo={rid: _pose_series(rows) for rid, rows in pgo_rows.items()},
+        pgo={rid: _pose_series(np.concatenate(rows)) for rid, rows in pgo_rows.items()},
         pgo_converged=pgo_converged,
         metrics={},
     )

@@ -5,6 +5,8 @@ through the `geom` helpers, assemble the filter Jacobians block by block and
 linearize each pose-graph edge in its own Python loop. They are the reference
 that the structured code in `relpose.eskf` and `relpose.pgo` must match, and
 they read the same noise, gate and solver constants from those modules.
+`edges_from_filters` builds one frame's pose graph from `Pose` objects, as
+the runner did before it stacked a chunk's graphs (`pgo.initial_stack`).
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ from relpose.geom import (
     se3_exp,
     skew,
 )
-from relpose.pgo import _GEN, HUBER_DELTA, MAX_ITERS, REL_TOL, SolveReport, residual
+from relpose.pgo import _GEN, HUBER_DELTA, MAX_ITERS, REL_TOL, Edge, PoseGraph, SolveReport, residual
 
 
 def compute_Fx(state, u, dt):
@@ -152,8 +154,24 @@ def robust_cost(edges, poses):
     return c
 
 
+def connected_nodes(graph):
+    """Nodes reachable from the ego through edges."""
+    adj = {}
+    for e in graph.edges:
+        adj.setdefault(e.i, set()).add(e.j)
+        adj.setdefault(e.j, set()).add(e.i)
+    seen = {graph.ego}
+    stack = [graph.ego]
+    while stack:
+        for n in adj.get(stack.pop(), ()):
+            if n not in seen:
+                seen.add(n)
+                stack.append(n)
+    return seen
+
+
 def solve(graph):
-    reachable = graph.connected_nodes()
+    reachable = connected_nodes(graph)
     excluded = sorted(set(graph.nodes) - reachable)
     free = sorted(n for n in reachable if n != graph.ego)
     poses = {n: Pose(graph.nodes[n].R.copy(), graph.nodes[n].t.copy()) for n in reachable}
@@ -224,3 +242,28 @@ def solve(graph):
             break
 
     return poses, SolveReport(initial_cost, cost, it, converged, excluded)
+
+
+def edges_from_filters(ego, estimates):
+    """Build an ego-frame graph from pairwise estimates.
+
+    estimates[(i, j)] is the pose of robot j in robot i's frame (the output
+    frame of robot i's filter tracking j). Ego-observed robots initialize
+    from the direct estimate; others are initialized by composing along any
+    available edge path from the ego.
+    """
+    nodes = {ego: Pose.identity()}
+    edges = [Edge(i, j, T) for (i, j), T in estimates.items()]
+    # init by BFS composition from ego
+    adj = {}
+    for (i, j), T in estimates.items():
+        adj.setdefault(i, []).append((j, T))
+        adj.setdefault(j, []).append((i, T.inverse()))
+    frontier = [ego]
+    while frontier:
+        cur = frontier.pop(0)
+        for nb, T in adj.get(cur, ()):
+            if nb not in nodes:
+                nodes[nb] = nodes[cur].compose(T)
+                frontier.append(nb)
+    return PoseGraph(ego=ego, nodes=nodes, edges=edges)

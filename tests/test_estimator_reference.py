@@ -168,8 +168,8 @@ def test_batched_cost_is_the_sum_of_edge_residuals(name, graph):
     stacked = pgo._Edges(
         ii=np.array([slot[e.i] for e in edges]),
         jj=np.array([slot[e.j] for e in edges]),
-        T_hat=pgo._stack([e.T_hat for e in edges]),
+        T_hat=pgo._stack([e.T_hat.R for e in edges], [e.T_hat.t for e in edges]),
         weight=np.array([e.weight for e in edges]),
     )
-    _, _, r2 = pgo._residuals(pgo._stack([nodes[n] for n in order]), stacked)
+    _, _, r2 = pgo._residuals(pgo._stack([nodes[n].R for n in order], [nodes[n].t for n in order]), stacked)
     _close(pgo._robust_cost(r2, pgo.HUBER_DELTA), ref.robust_cost(edges, nodes))

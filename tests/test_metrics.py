@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,27 @@ def test_summarize_boxplots_on_request():
     assert full["boxplot_rot"] == boxplot_stats(s[:, 2])
     assert {k: full[k] for k in plain} == plain
 
+
+
+def test_summarize_leaves_out_a_non_finite_row():
+    s = error_series(make_pair([0.1, 0.2, 0.3, 0.4, 0.5], [1.0, 2.0, 3.0, 4.0, 5.0]))
+    bad = s.copy()
+    bad[2, 1] = np.nan
+    m = summarize(bad, boxplots=True)
+    finite = summarize(np.delete(s, 2, axis=0), boxplots=True)
+    assert m == {**finite, "n_samples": 5, "n_dropped": 1}
+    assert "n_dropped" not in summarize(s)
+
+
+def test_summarize_series_without_a_finite_row():
+    s = error_series(make_pair([0.1, 0.2, 0.3], [1.0, 2.0, 3.0]))
+    s[:, 1:] = np.nan
+    s[0, 2] = np.inf
+    m = summarize(s, boxplots=True)
+    assert m["n_samples"] == m["n_dropped"] == 3
+    assert set(m) == set(summarize(error_series(make_pair([0.1], [1.0])), boxplots=True)) | {"n_dropped"}
+    assert all(m[k] is None for k in m if not k.startswith("n_"))
+    assert "NaN" not in json.dumps(m, allow_nan=False)
 
 def test_boxplot_stats_basic():
     v = [1.0, 2.0, 3.0, 4.0, 100.0]

@@ -1,16 +1,24 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from relpose.geom import Pose, quat_normalize, rotmat_from_quat, rotmat_from_rotvec, se3_exp
-from relpose.pgo import (
-    Edge,
-    PoseGraph,
-    dump_graph,
-    edges_from_filters,
-    load_graph,
-    residual,
-    solve,
+from estimator_reference import edges_from_filters
+from relpose import pgo, runner
+from relpose.geom import (
+    Pose,
+    quat_from_rotmat,
+    quat_normalize,
+    quats_from_rotmats,
+    rotmat_from_quat,
+    rotmat_from_rotvec,
+    se3_exp,
 )
+from relpose.pgo import Edge, PoseGraph, residual, solve
+from relpose.scenario import config_from_dict
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 RNG = np.random.default_rng(31)
 
@@ -154,22 +162,157 @@ def test_edges_from_filters_reverse_edge_inverts():
     assert dp < 1e-9 and dR < 1e-9
 
 
-def test_dump_load_round_trip():
-    truth = {0: Pose.identity(), 1: random_pose(), 2: random_pose()}
-    g = make_graph(truth, [(0, 1), (1, 2)], perturb=0.01)
-    g2 = load_graph(dump_graph(g))
-    assert g2.ego == g.ego
-    assert set(g2.nodes) == set(g.nodes)
-    for n in g.nodes:
-        assert np.allclose(g2.nodes[n].matrix(), g.nodes[n].matrix(), atol=1e-12)
-    assert len(g2.edges) == len(g.edges)
-    for e1, e2 in zip(g.edges, g2.edges):
-        assert (e1.i, e1.j, e1.weight) == (e2.i, e2.j, e2.weight)
-        assert np.allclose(e1.T_hat.matrix(), e2.T_hat.matrix(), atol=1e-12)
+# -- stacked solves against one-graph solves --------------------------------------
+# The runner solves a chunk's graphs one stack per edge mask. Every graph of a
+# stack must get the initial nodes, iterations, converged flag, excluded robots
+# and poses, bit for bit, that it gets from `edges_from_filters` and `solve`.
+
+PAIRS5 = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+FULL = [True] * len(PAIRS5)
 
 
-def test_load_graph_rejects_junk():
-    with pytest.raises(ValueError):
-        load_graph("NODE 0 0 0 0 1 0 0 0\n")  # no EGO line
-    with pytest.raises(ValueError):
-        load_graph("FOO bar\n")
+def only(*pairs):
+    return [pair in pairs for pair in PAIRS5]
+
+
+def snapshots(masks, noise=None, seed=0):
+    """p (F, P, 3) and q (F, P, 4): noisy pair estimates of a five-robot team, one frame per mask."""
+    rng = np.random.default_rng(seed)
+    truth = {0: Pose.identity(), **{rid: random_pose(rng) for rid in range(1, 5)}}
+    noise = [0.05] * len(masks) if noise is None else noise
+    p, q = np.zeros((len(masks), len(PAIRS5), 3)), np.zeros((len(masks), len(PAIRS5), 4))
+    for f, sigma in enumerate(noise):
+        for k, (i, j) in enumerate(PAIRS5):
+            T = rel_pose(truth[i], truth[j]).compose(se3_exp(rng.normal(0, sigma, 6)))
+            # a filter's quaternion may have either sign
+            p[f, k], q[f, k] = T.t, quat_from_rotmat(T.R) * rng.choice([-1.0, 1.0])
+    return p, q
+
+
+def estimates(mask, p, q):
+    return {pair: Pose(rotmat_from_quat(q[k]), p[k]) for k, pair in enumerate(PAIRS5) if mask[k]}
+
+
+def initial_stack(mask, p, q):
+    """`pgo.initial_stack` of the masked pairs of frames p, q."""
+    mask = np.array(mask)
+    return pgo.initial_stack(0, [pair for pair, m in zip(PAIRS5, mask) if m], p[:, mask], q[:, mask])
+
+
+def assert_stacks_match_one_graph_solves(masks, p, q):
+    groups = {}
+    for f, mask in enumerate(masks):
+        groups.setdefault(tuple(mask), []).append(f)
+    for mask, frames in groups.items():
+        graphs = [edges_from_filters(0, estimates(mask, p[f], q[f])) for f in frames]
+        initial = [dict(g.nodes) for g in graphs]
+        for g in graphs:  # unreachable robots join as nodes, to be excluded
+            g.nodes.update({rid: Pose.identity() for rid in range(5) if rid not in g.nodes})
+        alone = [solve(g) for g in graphs]
+        stack = initial_stack(mask, p[frames], q[frames])
+        if stack is None:  # no edge reaches the ego: nothing to solve
+            for poses, report in alone:
+                assert list(poses) == [0] and (report.iterations, report.converged) == (0, True)
+            continue
+        free, T0, edges = stack
+        T, report = pgo.solve_stack(T0, edges)
+        assert report.iterations == report.graph_iterations.sum()
+        assert report.converged == report.graph_converged.all()
+        excluded = [rid for rid in range(1, 5) if rid not in free]
+        for b, (nodes, (poses, alone_report)) in enumerate(zip(initial, alone)):
+            assert report.graph_iterations[b] == alone_report.iterations
+            assert report.graph_converged[b] == alone_report.converged
+            assert alone_report.excluded == excluded
+            assert list(poses) == [0] + free
+            for s, rid in enumerate(free):
+                assert np.array_equal(T0[b, s], nodes[rid].matrix())
+                assert np.array_equal(T[b, s], poses[rid].matrix())
+
+
+def test_stack_of_two_topologies_matches_one_graph_solves():
+    # the chain reaches robots 1 and 3 through inverted edges
+    chain = only((0, 2), (1, 2), (1, 4), (3, 4))
+    masks = [FULL, chain, FULL, FULL, chain]
+    assert_stacks_match_one_graph_solves(masks, *snapshots(masks))
+
+
+def test_stack_with_masks_that_miss_the_ego():
+    masks = [only((1, 2), (3, 4)), only((0, 1), (2, 3)), only((0, 1), (2, 3)), only((0, 2), (2, 4), (1, 3))]
+    p, q = snapshots(masks)
+    assert initial_stack(masks[0], p, q) is None
+    assert initial_stack(masks[1], p, q)[0] == [1]
+    assert_stacks_match_one_graph_solves(masks, p, q)
+
+
+def test_stack_stops_each_graph_at_max_iters(monkeypatch):
+    monkeypatch.setattr(pgo, "MAX_ITERS", 2)
+    masks = [FULL] * 4
+    noise = [0.05, 0.0, 0.05, 0.0]  # exact edges converge in the first iteration
+    p, q = snapshots(masks, noise)
+    assert_stacks_match_one_graph_solves(masks, p, q)
+    _, report = pgo.solve_stack(*initial_stack(FULL, p, q)[1:])
+    assert report.graph_iterations.tolist() == [2, 1, 2, 1]
+    assert report.graph_converged.tolist() == [False, True, False, True]
+
+
+def test_stack_keeps_a_singular_try_to_its_graph(monkeypatch):
+    masks = [FULL] * 3
+    p, q = snapshots(masks)
+    solve_systems = np.linalg.solve
+    first = []
+
+    def spy(A, b):
+        first.append(A[0].copy())
+        return solve_systems(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    solve(edges_from_filters(0, estimates(FULL, p[1], q[1])))
+    raised = []
+
+    def singular(A, b):  # graph 1's first damped system is singular
+        if any(np.array_equal(a, first[0]) for a in A):
+            raised.append(len(A))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve_systems(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert_stacks_match_one_graph_solves(masks, p, q)
+    # graph 1 alone; then the stack of three, and graph 1 when the stack solves its systems one by one
+    assert raised == [1, 3, 1]
+
+
+def test_stack_of_one():
+    assert_stacks_match_one_graph_solves([FULL], *snapshots([FULL]))
+
+
+def test_team_run_solves_its_recorded_graphs_as_one_graph_solves(monkeypatch):
+    cfg = config_from_dict(json.loads((SCENARIOS / "occlusion_five_robot.json").read_text()))
+    cfg.duration, cfg.pgo_rate = 2.5, cfg.cam_rate
+    assert runner._pairs_for(cfg) == PAIRS5
+    recorded = []
+    solve_graphs = runner._solve_graphs
+
+    def record(ego, pairs, snaps, *out):
+        recorded.extend(snaps)
+        solve_graphs(ego, pairs, snaps, *out)
+
+    monkeypatch.setattr(runner, "_solve_graphs", record)
+    res = runner.run_scenario(cfg)
+    t, masks = [s[0] for s in recorded], [s[1] for s in recorded]
+    p, q = np.zeros((len(recorded), len(PAIRS5), 3)), np.zeros((len(recorded), len(PAIRS5), 4))
+    for f, (_, mask, states) in enumerate(recorded):  # a snapshot holds its masked pairs' states
+        p[f, list(mask)], q[f, list(mask)] = [s.p for s in states], [s.q for s in states]
+    assert len(recorded) == 126  # every camera frame of [0, 2.5] s
+    assert_stacks_match_one_graph_solves(masks, p, q)
+    # the run's rows and flags are the one-graph solves', frame by frame
+    rows, converged = {rid: [] for rid in res.pgo}, []
+    for f, mask in enumerate(masks):
+        poses, report = solve(edges_from_filters(0, estimates(mask, p[f], q[f])))
+        converged.append(report.converged)
+        for rid in poses.keys() - {0}:
+            rows[rid].append((t[f], poses[rid]))
+    assert res.pgo_converged == converged
+    for rid, expected in rows.items():
+        assert np.array_equal(res.pgo[rid].t, [tt for tt, _ in expected])
+        assert np.array_equal(res.pgo[rid].p, [pose.t for _, pose in expected])
+        assert np.array_equal(res.pgo[rid].q, quats_from_rotmats([pose.R for _, pose in expected]))
