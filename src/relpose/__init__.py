@@ -8,7 +8,7 @@ Layers, bottom up:
 - `rawpose`: closed-form relative pose from one frame of mutual bearings,
   UWB range, and gravity-referenced roll/pitch.
 - `eskf`: error-state Kalman filter in the observer's moving frame.
-- `pgo`: single-frame pose-graph optimization over a team.
+- `pgo`: pose-graph optimization over a team, many graphs solved as one stack.
 - `metrics`: ATE and error-series evaluation.
 - `scenario` / `runner` / `cli`: config-driven scenario execution.
 """
@@ -18,4 +18,3 @@ __version__ = "0.1.0"
 from .geom import Pose  # noqa: F401
 from .rawpose import RawPoseMeasurement, raw_estimate  # noqa: F401
 from .eskf import RelativePoseFilter  # noqa: F401
-from .pgo import PoseGraph, Edge, solve  # noqa: F401

@@ -11,8 +11,8 @@ import time
 import numpy as np
 
 from .eskf import ImuPairInput, RelativePoseFilter
-from .geom import Pose, quat_from_rotvec, rotmat_from_rotvec
-from .pgo import Edge, PoseGraph, solve
+from .geom import Pose, quat_from_rotvec, quats_from_rotmats, rotmat_from_rotvec
+from .pgo import initial_stack, solve
 from .rawpose import RawPoseMeasurement, raw_estimate
 
 RAW_ROWS = 50
@@ -62,27 +62,23 @@ def bench(reps: int = 1000, seed: int = 0) -> dict[str, dict[str, float]]:
 
     out["eskf_cycle"] = _timeit(eskf_cycle, reps)
 
-    # 5-robot fully connected graph with noisy consistent edges
+    # 5-robot fully connected graph with noisy consistent edges, as a stack of one
     truth = {0: Pose.identity()}
     for rid in range(1, 5):
         truth[rid] = Pose(rotmat_from_rotvec(rng.normal(0, 0.4, 3)), rng.normal(0, 3.0, 3))
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     edges = []
-    for i in range(5):
-        for j in range(i + 1, 5):
-            T = truth[i].inverse().compose(truth[j])
-            T = T.compose(Pose(rotmat_from_rotvec(rng.normal(0, 0.01, 3)), rng.normal(0, 0.02, 3)))
-            edges.append(Edge(i, j, T))
-    nodes = {
-        rid: Pose(
-            rotmat_from_rotvec(rng.normal(0, 0.05, 3)) @ truth[rid].R,
-            truth[rid].t + rng.normal(0, 0.05, 3),
-        )
-        for rid in truth
-    }
+    for i, j in pairs:
+        T = truth[i].inverse().compose(truth[j])
+        edges.append(T.compose(Pose(rotmat_from_rotvec(rng.normal(0, 0.01, 3)), rng.normal(0, 0.02, 3))))
+    nodes = [  # perturbed truth; the ego's draw is made but the ego stays pinned
+        Pose(rotmat_from_rotvec(rng.normal(0, 0.05, 3)) @ x.R, x.t + rng.normal(0, 0.05, 3)).matrix()
+        for x in truth.values()
+    ]
+    p, q = np.array([[e.t for e in edges]]), quats_from_rotmats([e.R for e in edges])[None]
+    _, T0, stack = initial_stack(0, pairs, p, q)
+    T0[0, :-1] = nodes[1:]  # the free robots 1-4; the ego's slot is last
+    stack.T_hat[0] = [e.matrix() for e in edges]  # the edges exactly, not through quaternions
 
-    def pgo_solve():
-        g = PoseGraph(ego=0, nodes=dict(nodes), edges=list(edges))
-        solve(g)
-
-    out["pgo_5robot"] = _timeit(pgo_solve, max(reps // 4, 100))
+    out["pgo_5robot"] = _timeit(lambda: solve(T0, stack), max(reps // 4, 100))
     return out

@@ -13,23 +13,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import bench
 from .checks import check_jacobians
 from .runner import build_world, export_ground_truth, run_scenario, write_outputs
-from .scenario import ConfigError, load_config
+from .scenario import ConfigError, ScenarioConfig, load_config
+
+
+def _config(args) -> ScenarioConfig:
+    """The config file with --seed in place of its seed, validated together."""
+    cfg = load_config(args.config)
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
-    result = run_scenario(cfg)
+    result = run_scenario(_config(args))
     out = Path(args.out) if args.out else Path("out")
     config_dict = json.loads(Path(args.config).read_text())
     write_outputs(result, out, config_dict)
@@ -59,13 +59,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_export_gt(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _config(args)
     out = Path(args.out) if args.out else Path("out")
     out.mkdir(parents=True, exist_ok=True)
     export_ground_truth(build_world(cfg), cfg.duration, out)
@@ -101,7 +95,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_export_gt)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

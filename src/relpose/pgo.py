@@ -1,4 +1,4 @@
-"""Pose-graph optimization over a robot team, one graph or a stack of graphs.
+"""Pose-graph optimization over a robot team, solved as stacks of graphs.
 
 Nodes are robot poses in the ego robot's frame (ego fixed to identity);
 edges are measured pairwise relative poses. The residual per edge is the
@@ -7,13 +7,15 @@ squared Frobenius norm of (T_hat_ij * X_j^-1 * X_i - I) over homogeneous
 of robot j expressed in robot i's frame. Solved by Levenberg-Marquardt on
 the SE(3) manifold with analytic Jacobians and Huber reweighting.
 
-`solve_stack` solves a stack of graphs with the same edges, each as `solve`
-solves it alone; the runner stacks a chunk's graphs per edge mask.
+`initial_stack` builds a stack of graphs with the same edges from pair
+estimates, and `solve` solves each graph of it as it would solve that graph
+alone. The runner stacks a chunk's graphs per edge mask; one graph is a
+stack of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,38 +40,7 @@ JACOBIAN_BYTES = 1 << 18  # a stack builds its dense Jacobians at most this many
 
 
 @dataclass
-class Edge:
-    i: int
-    j: int
-    T_hat: Pose
-    weight: float = 1.0
-
-
-@dataclass
-class PoseGraph:
-    ego: int
-    nodes: dict[int, Pose]
-    edges: list[Edge] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.ego not in self.nodes:
-            self.nodes[self.ego] = Pose.identity()
-        for e in self.edges:
-            if e.i == e.j:
-                raise ValueError("self-edges are not allowed")
-
-
-@dataclass
 class SolveReport:
-    initial_cost: float
-    final_cost: float
-    iterations: int
-    converged: bool
-    excluded: list[int] = field(default_factory=list)
-
-
-@dataclass
-class StackReport:
     """A stack's totals, then the per-graph arrays (B,) they sum up."""
     iterations: int  # summed over the graphs
     converged: bool  # every graph converged
@@ -203,7 +174,7 @@ def _damped_steps(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         return np.concatenate(steps), np.concatenate(ok)
 
 
-def solve_stack(T: np.ndarray, edges: _Edges) -> tuple[np.ndarray, StackReport]:
+def solve(T: np.ndarray, edges: _Edges) -> tuple[np.ndarray, SolveReport]:
     """LM over a stack of B graphs with the same edges: nodes T (B, n+1, 4, 4), the ego's last.
 
     Each graph keeps its own damping, tries, iteration count and stop tests,
@@ -258,7 +229,7 @@ def solve_stack(T: np.ndarray, edges: _Edges) -> tuple[np.ndarray, StackReport]:
         if not live.size:
             break
     totals = int(iterations.sum()), bool(converged.all())
-    return T, StackReport(*totals, iterations, converged, initial_cost, cost)
+    return T, SolveReport(*totals, iterations, converged, initial_cost, cost)
 
 
 def _topology(ego: int, pairs: list) -> tuple | None:
@@ -282,27 +253,6 @@ def _topology(ego: int, pairs: list) -> tuple | None:
     used = [k for k, (i, _) in enumerate(pairs) if i in seen]
     ii, jj = (np.array([slot[pairs[k][end]] for k in used], dtype=np.intp) for end in (0, 1))
     return (free, tree, used, ii, jj) if free else None
-
-
-def solve(graph: PoseGraph) -> tuple[dict[int, Pose], SolveReport]:
-    """LM over the free (non-ego) poses; ego stays pinned to identity.
-
-    Returns optimized poses and a report. Nodes unreachable from the ego
-    are excluded (listed in the report).
-    """
-    topo = _topology(graph.ego, [(e.i, e.j) for e in graph.edges])
-    free = topo[0] if topo else []
-    excluded = sorted(set(graph.nodes) - set(free) - {graph.ego})
-    if topo is None:
-        return {graph.ego: Pose.identity()}, SolveReport(0.0, 0.0, 0, True, excluded)
-    _, _, used, ii, jj = topo
-    nodes, edges = [graph.nodes[rid] for rid in free] + [Pose.identity()], [graph.edges[k] for k in used]
-    T_hat = _stack([e.T_hat.R for e in edges], [e.T_hat.t for e in edges])[None]
-    edges = _Edges(ii, jj, T_hat, np.array([[e.weight for e in edges]], dtype=float))
-    T, report = solve_stack(_stack([x.R for x in nodes], [x.t for x in nodes])[None], edges)
-    poses = {rid: Pose(T[0, s, :3, :3], T[0, s, :3, 3]) for s, rid in enumerate(free + [graph.ego])}
-    cost = (float(report.initial_cost[0]), float(report.final_cost[0]))
-    return dict(sorted(poses.items())), SolveReport(*cost, report.iterations, report.converged, excluded)
 
 
 def initial_stack(ego: int, pairs: list, p: np.ndarray, q: np.ndarray) -> tuple | None:

@@ -23,11 +23,11 @@ from .codec import SpotTracker
 from .eskf import ImuPairInput, RelativePoseFilter, SingularInnovation
 from .geom import Pose, quats_from_rotmats, rotmats_from_quats
 from .metrics import AlignedPair, error_series, summarize
-# relbench/tracer.py times the stacked solve as relpose.runner.solve (ROADMAP item 10)
-from .pgo import initial_stack, solve_stack as solve
+# relbench/tracer.py wraps the solve under this module's name, relpose.runner.solve
+from .pgo import initial_stack, solve
 from .rawpose import RawPoseMeasurement, RawSolve, raw_estimate
 from .scenario import ScenarioConfig
-from .world import SensorChunk, World
+from .world import SensorChunk, World, stride
 
 
 @dataclass
@@ -258,7 +258,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
     imu_dt = 1.0 / cfg.imu_rate
     edge_stale = 0.25  # drop PGO edges whose filter saw no measurement lately
-    pgo_every = max(int(round(cfg.cam_rate / cfg.pgo_rate)), 1)
+    pgo_every = stride(cfg.cam_rate, cfg.pgo_rate) if run_pgo else None
     cam_tick = 0
     chunk = None
 

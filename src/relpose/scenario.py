@@ -4,14 +4,14 @@ Schema (JSON, ``version: 1``) — all fields with defaults may be omitted:
 
     {
       "version": 1,
-      "seed": 42,                  // seeds the sensor noise
+      "seed": 42,                  // >= 0, seeds the sensor noise
       "duration": 10.0,            // seconds
       "ego": 0,                    // observer whose frame PGO fixes
       "estimator": "eskf",         // "raw" | "eskf" | "pgo"
       "pairs": "ego",              // "ego" | "all" (which filters run)
       "id_mode": "codec",          // "codec" | "oracle"
-      "pgo_rate": 10.0,            // Hz
-      "rates": {"imu": 100.0, "cam": 200.0, "uwb": 50.0},
+      "pgo_rate": 10.0,            // Hz, divides the camera rate
+      "rates": {"imu": 100.0, "cam": 200.0, "uwb": 50.0},  // each divides the fastest
       "camera": {"fx":285,"fy":285,"cx":320,"cy":320,
                  "xi":-0.18,"alpha":0.59,"fov_deg":185},
       "noise": {"accel_density":183.3,"gyro_density":0.021,"uwb_sigma":0.05,
@@ -33,7 +33,7 @@ from pathlib import Path
 from .camera import DEFAULT_INTRINSICS, DsIntrinsics
 from .codec import IdLibrary
 from .trajectory import AttitudeProfile, TrajectorySpec
-from .world import NoiseParams, Obstacle
+from .world import NoiseParams, Obstacle, stride
 
 
 class ConfigError(ValueError):
@@ -82,6 +82,20 @@ class ScenarioConfig:
         for name in ("duration", "pgo_rate", "imu_rate", "cam_rate", "uwb_rate"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be positive")
+        master = max(self.imu_rate, self.cam_rate, self.uwb_rate)
+        clocks = [("rates", master, r) for r in (self.imu_rate, self.cam_rate, self.uwb_rate)]
+        if self.estimator == "pgo":  # the graph is solved on every k-th camera frame
+            clocks.append(("pgo_rate", self.cam_rate, self.pgo_rate))
+        for name, fast, rate in clocks:
+            try:
+                stride(fast, rate)
+            except ValueError as e:
+                raise ConfigError(f"{name}: {e}") from e
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        for rid, spec, _ in self.robots:
+            if spec.duration < self.duration:
+                raise ConfigError(f"robots: robot {rid}'s trajectory ends at {spec.duration:g} s, before the run")
 
 
 def _attitude_from_dict(d: dict) -> AttitudeProfile:

@@ -75,6 +75,8 @@ class TrajectorySpec:
                 raise ValueError("waypoints kind needs at least 2 waypoints")
             ts = np.array([t for t, _ in self.waypoints])
             ps = np.array([p for _, p in self.waypoints])
+            if ts[0] > 0.0 or ts[-1] < self.duration:  # the spline would extrapolate
+                raise ValueError(f"waypoints span [{ts[0]:g}, {ts[-1]:g}] s, not [0, {self.duration:g}] s")
             from scipy.interpolate import CubicSpline  # slow to import; only this kind needs it
 
             self._spline = CubicSpline(ts, ps, bc_type="clamped")

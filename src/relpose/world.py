@@ -203,6 +203,14 @@ class SensorChunk:
         return [Frame(t, self, a, b, c) for t, a, b, c in zip(*(x.tolist() for x in rows))]
 
 
+def stride(fast: float, rate: float) -> int:
+    """Ticks of a clock at `fast` Hz per sample at `rate` Hz; ValueError unless a whole number >= 1."""
+    n = round(fast / rate)
+    if n < 1 or abs(fast / rate - n) > 1e-9:
+        raise ValueError(f"{rate:g} Hz does not divide {fast:g} Hz")
+    return int(n)
+
+
 class World:
     """Steps the ground-truth world and synthesizes all sensor streams.
 
@@ -229,11 +237,8 @@ class World:
         self.lib = IdLibrary()
         self.imu_rate, self.cam_rate, self.uwb_rate = imu_rate, cam_rate, uwb_rate
         self._master_rate = max(imu_rate, cam_rate, uwb_rate)
-        for r in (imu_rate, cam_rate, uwb_rate):
-            if abs(self._master_rate / r - round(self._master_rate / r)) > 1e-9:
-                raise ValueError("imu/cam/uwb rates must divide the master (fastest) rate")
         # master ticks between two samples of the IMU, the radio and the camera
-        self._every = tuple(int(round(self._master_rate / r)) for r in (imu_rate, uwb_rate, cam_rate))
+        self._every = tuple(stride(self._master_rate, r) for r in (imu_rate, uwb_rate, cam_rate))
         # one independent child stream per robot per sensor: stable under
         # changes in query order
         ss = np.random.SeedSequence(seed)

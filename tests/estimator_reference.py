@@ -6,8 +6,11 @@ linearize each pose-graph edge in its own Python loop. They are the reference
 that the structured code in `relpose.eskf` and `relpose.pgo` must match, and
 they read the same noise, gate and solver constants from those modules.
 `edges_from_filters` builds one frame's pose graph from `Pose` objects, as
-the runner did before it stacked a chunk's graphs (`pgo.initial_stack`).
+the runner did before it stacked a chunk's graphs (`pgo.initial_stack`), and
+`stack_of_one` hands such a graph to `pgo.solve`.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from relpose.geom import (
     se3_exp,
     skew,
 )
-from relpose.pgo import _GEN, HUBER_DELTA, MAX_ITERS, REL_TOL, Edge, PoseGraph, SolveReport, residual
+from relpose.pgo import _GEN, HUBER_DELTA, MAX_ITERS, REL_TOL, _Edges, residual
 
 
 def compute_Fx(state, u, dt):
@@ -136,6 +139,34 @@ def inject_and_reset(state, belief):
     G = reset_jacobian(belief.delta_mean)
     P = G @ belief.P @ G.T
     return new_state, ErrorBelief(np.zeros(12), 0.5 * (P + P.T))
+
+
+@dataclass
+class Edge:
+    i: int
+    j: int
+    T_hat: Pose
+    weight: float = 1.0
+
+
+@dataclass
+class PoseGraph:
+    ego: int
+    nodes: dict
+    edges: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.ego not in self.nodes:
+            self.nodes[self.ego] = Pose.identity()
+
+
+@dataclass
+class SolveReport:
+    initial_cost: float
+    final_cost: float
+    iterations: int
+    converged: bool
+    excluded: list = field(default_factory=list)
 
 
 def _huber_weight(r2, delta):
@@ -267,3 +298,22 @@ def edges_from_filters(ego, estimates):
                 nodes[nb] = nodes[cur].compose(T)
                 frontier.append(nb)
     return PoseGraph(ego=ego, nodes=nodes, edges=edges)
+
+
+def stack_of_one(graph):
+    """The graph as `pgo.solve` takes it: the robots its edges reach from the ego (free, in id
+    order), their nodes (1, n+1, 4, 4) with the ego's last, and the edges among them; None if the
+    edges reach no robot."""
+    reach = connected_nodes(graph)
+    free = sorted(reach - {graph.ego})
+    if not free:
+        return None
+    slot = {rid: s for s, rid in enumerate(free + [graph.ego])}
+    edges = [e for e in graph.edges if e.i in reach]
+    T = np.stack([graph.nodes[rid].matrix() for rid in free] + [np.eye(4)])[None]
+    return free, T, _Edges(
+        np.array([slot[e.i] for e in edges], dtype=np.intp),
+        np.array([slot[e.j] for e in edges], dtype=np.intp),
+        np.stack([e.T_hat.matrix() for e in edges])[None],
+        np.array([[e.weight for e in edges]], dtype=float),
+    )

@@ -10,6 +10,7 @@ import pytest
 
 import relpose
 import relpose.cli
+from relpose import pgo
 from relpose.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -105,6 +106,53 @@ def test_run_strict_flag_accepts_converged(tmp_path, capsys):
     )
     rc = main(["run", str(cfg), "--out", str(tmp_path / "out"), "--strict"])
     assert rc == 0
+
+
+def test_run_strict_flag_rejects_unconverged(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pgo, "MAX_ITERS", 1)  # too few iterations for any graph to converge
+    out = tmp_path / "out"
+    rc = main(["run", str(SCENARIOS / "four_robot_pgo.json"), "--out", str(out), "--strict"])
+    assert rc == 1
+    assert "strict: 121 PGO solves did not converge" in capsys.readouterr().err
+    assert (out / "metrics.json").exists()
+
+
+def robot_1(trajectory):
+    return {"robots": [{"id": 0, "trajectory": {"kind": "static"}}, {"id": 1, "trajectory": trajectory}]}
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ({"rates": {"imu": 100.0, "cam": 30.0, "uwb": 50.0}}, "rates: 30 Hz does not divide 100 Hz"),
+        ({"seed": -1}, "seed: must be >= 0"),
+        (
+            {"estimator": "pgo", "rates": {"imu": 100.0, "cam": 100.0, "uwb": 50.0}, "pgo_rate": 40.0},
+            "pgo_rate: 40 Hz does not divide 100 Hz",
+        ),
+        (robot_1({"kind": "static", "duration": 1.0}), "robots: robot 1's trajectory ends at 1 s"),
+        (
+            robot_1({"kind": "waypoints", "waypoints": [[0.0, [4, 0, 1]], [1.0, [5, 0, 1]]]}),
+            "trajectory: waypoints span [0, 1] s, not [0, 2] s",
+        ),
+    ],
+    ids=["rates", "seed", "pgo_rate", "short_trajectory", "waypoints"],
+)
+def test_run_config_error_exits_2(tmp_path, capsys, extra, message):
+    cfg = write_small_scenario(tmp_path, **extra)
+    rc = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "export-gt"])
+def test_negative_seed_override_exits_2(tmp_path, capsys, command):
+    cfg = write_small_scenario(tmp_path)
+    rc = main([command, str(cfg), "--seed", "-3", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error: seed: must be >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_jacobians_subcommand(capsys):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from estimator_reference import edges_from_filters
+from estimator_reference import edges_from_filters, stack_of_one
 from relpose import pgo, runner
 from relpose.geom import (
     Pose,
@@ -12,10 +12,9 @@ from relpose.geom import (
     quat_normalize,
     quats_from_rotmats,
     rotmat_from_quat,
-    rotmat_from_rotvec,
     se3_exp,
 )
-from relpose.pgo import Edge, PoseGraph, residual, solve
+from relpose.pgo import residual
 from relpose.scenario import config_from_dict
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -32,19 +31,26 @@ def rel_pose(X_i: Pose, X_j: Pose) -> Pose:
     return X_i.inverse().compose(X_j)
 
 
-def make_graph(truth: dict[int, Pose], pairs, perturb=0.0, init_perturb=0.0, rng=RNG):
-    estimates = {}
-    for i, j in pairs:
+def make_stack(truth: dict[int, Pose], pairs, perturb=0.0, init_perturb=0.0, rng=RNG):
+    """`pgo.initial_stack` of one graph of the pairs' relative poses, its free nodes perturbed."""
+    p, q = np.zeros((1, len(pairs), 3)), np.zeros((1, len(pairs), 4))
+    for k, (i, j) in enumerate(pairs):
         T = rel_pose(truth[i], truth[j])
         if perturb:
             T = T.compose(se3_exp(rng.normal(0, perturb, 6))).orthonormalized()
-        estimates[(i, j)] = T
-    g = edges_from_filters(0, estimates)
+        p[0, k], q[0, k] = T.t, quat_from_rotmat(T.R)
+    free, T0, edges = pgo.initial_stack(0, pairs, p, q)
     if init_perturb:
-        for n in g.nodes:
-            if n != 0:
-                g.nodes[n] = g.nodes[n].compose(se3_exp(rng.normal(0, init_perturb, 6))).orthonormalized()
-    return g
+        for s in range(len(free)):
+            x = Pose(T0[0, s, :3, :3], T0[0, s, :3, 3])
+            T0[0, s] = x.compose(se3_exp(rng.normal(0, init_perturb, 6))).orthonormalized().matrix()
+    return free, T0, edges
+
+
+def solve(free, T0, edges):
+    """`pgo.solve` of a stack of one, and its poses by robot id, the ego's included."""
+    T, report = pgo.solve(T0, edges)
+    return {rid: Pose(T[0, s, :3, :3], T[0, s, :3, 3]) for s, rid in enumerate(free + [0])}, report
 
 
 def pose_error(a: Pose, b: Pose):
@@ -67,8 +73,7 @@ def test_residual_positive_for_inconsistent_edge():
 def test_solve_recovers_exact_poses():
     truth = {0: Pose.identity(), 1: random_pose(), 2: random_pose(), 3: random_pose()}
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (1, 3)]
-    g = make_graph(truth, pairs, init_perturb=0.3)
-    poses, report = solve(g)
+    poses, report = solve(*make_stack(truth, pairs, init_perturb=0.3))
     assert report.converged
     for n in (1, 2, 3):
         dp, dR = pose_error(poses[n], truth[n])
@@ -77,16 +82,14 @@ def test_solve_recovers_exact_poses():
 
 def test_solve_keeps_ego_pinned():
     truth = {0: Pose.identity(), 1: random_pose()}
-    g = make_graph(truth, [(0, 1)], perturb=0.05)
-    poses, _ = solve(g)
-    assert np.allclose(poses[0].matrix(), np.eye(4))
+    poses, _ = solve(*make_stack(truth, [(0, 1)], perturb=0.05, init_perturb=0.05))
+    assert np.array_equal(poses[0].matrix(), np.eye(4))
 
 
 def test_solve_reduces_cost_on_noisy_graph():
     truth = {0: Pose.identity(), 1: random_pose(), 2: random_pose(), 3: random_pose()}
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
-    g = make_graph(truth, pairs, perturb=0.03, init_perturb=0.2)
-    poses, report = solve(g)
+    _, report = solve(*make_stack(truth, pairs, perturb=0.03, init_perturb=0.2))
     assert report.final_cost < report.initial_cost
     assert report.converged
 
@@ -96,53 +99,21 @@ def test_solve_averages_redundant_edges():
     # must be better than trusting either edge alone
     truth = {0: Pose.identity(), 1: Pose(np.eye(3), np.array([2.0, 0, 0]))}
     d = np.array([0.2, 0, 0])
-    g = PoseGraph(
-        ego=0,
-        nodes={0: Pose.identity(), 1: Pose(np.eye(3), truth[1].t + d)},
-        edges=[
-            Edge(0, 1, Pose(np.eye(3), truth[1].t + d)),
-            Edge(0, 1, Pose(np.eye(3), truth[1].t - d)),
-        ],
-    )
-    poses, _ = solve(g)
+    p, q = np.array([[truth[1].t + d, truth[1].t - d]]), np.array([[[1.0, 0, 0, 0]] * 2])
+    free, T0, edges = pgo.initial_stack(0, [(0, 1), (0, 1)], p, q)
+    assert np.array_equal(T0[0, 0, :3, 3], truth[1].t + d)  # the first edge initializes robot 1
+    poses, _ = solve(free, T0, edges)
     assert np.linalg.norm(poses[1].t - truth[1].t) < 0.05
 
 
 def test_huber_downweights_outlier_edge():
     truth = {0: Pose.identity(), 1: random_pose(rng=np.random.default_rng(5))}
     good = rel_pose(truth[0], truth[1])
-    bad = Pose(good.R, good.t + np.array([5.0, 0.0, 0.0]))
-    g = PoseGraph(
-        ego=0,
-        nodes={0: Pose.identity(), 1: good},
-        edges=[Edge(0, 1, good), Edge(0, 1, good), Edge(0, 1, good), Edge(0, 1, bad)],
-    )
-    poses, _ = solve(g)
+    p = np.array([[good.t] * 3 + [good.t + np.array([5.0, 0.0, 0.0])]])
+    q = np.tile(quat_from_rotmat(good.R), (1, 4, 1))
+    poses, _ = solve(*pgo.initial_stack(0, [(0, 1)] * 4, p, q))
     dp, _ = pose_error(poses[1], truth[1])
     assert dp < 0.3  # a quadratic loss would be pulled ~1.25 m
-
-
-def test_unreachable_node_excluded():
-    g = PoseGraph(
-        ego=0,
-        nodes={0: Pose.identity(), 1: random_pose(), 7: random_pose()},
-        edges=[Edge(0, 1, random_pose())],
-    )
-    poses, report = solve(g)
-    assert report.excluded == [7]
-    assert 7 not in poses
-
-
-def test_self_edge_rejected():
-    with pytest.raises(ValueError):
-        PoseGraph(ego=0, nodes={0: Pose.identity()}, edges=[Edge(1, 1, Pose.identity())])
-
-
-def test_empty_graph_trivial():
-    g = PoseGraph(ego=0, nodes={})
-    poses, report = solve(g)
-    assert report.converged
-    assert np.allclose(poses[0].matrix(), np.eye(4))
 
 
 def test_edges_from_filters_initializes_by_composition():
@@ -164,8 +135,9 @@ def test_edges_from_filters_reverse_edge_inverts():
 
 # -- stacked solves against one-graph solves --------------------------------------
 # The runner solves a chunk's graphs one stack per edge mask. Every graph of a
-# stack must get the initial nodes, iterations, converged flag, excluded robots
-# and poses, bit for bit, that it gets from `edges_from_filters` and `solve`.
+# stack must get the initial nodes that `edges_from_filters` composes, and the
+# iterations, converged flag, robots and poses, bit for bit, that `pgo.solve`
+# gives it alone, as a stack of one.
 
 PAIRS5 = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 FULL = [True] * len(PAIRS5)
@@ -199,34 +171,36 @@ def initial_stack(mask, p, q):
     return pgo.initial_stack(0, [pair for pair, m in zip(PAIRS5, mask) if m], p[:, mask], q[:, mask])
 
 
+def alone(mask, p, q):
+    """`pgo.solve` of one frame's graph as a stack of one: its free robots, poses and report."""
+    stack = stack_of_one(edges_from_filters(0, estimates(mask, p, q)))
+    return stack and (stack[0], *pgo.solve(*stack[1:]))
+
+
 def assert_stacks_match_one_graph_solves(masks, p, q):
     groups = {}
     for f, mask in enumerate(masks):
         groups.setdefault(tuple(mask), []).append(f)
     for mask, frames in groups.items():
-        graphs = [edges_from_filters(0, estimates(mask, p[f], q[f])) for f in frames]
-        initial = [dict(g.nodes) for g in graphs]
-        for g in graphs:  # unreachable robots join as nodes, to be excluded
-            g.nodes.update({rid: Pose.identity() for rid in range(5) if rid not in g.nodes})
-        alone = [solve(g) for g in graphs]
+        initial = [edges_from_filters(0, estimates(mask, p[f], q[f])).nodes for f in frames]
+        solved = [alone(mask, p[f], q[f]) for f in frames]
         stack = initial_stack(mask, p[frames], q[frames])
         if stack is None:  # no edge reaches the ego: nothing to solve
-            for poses, report in alone:
-                assert list(poses) == [0] and (report.iterations, report.converged) == (0, True)
+            assert solved == [None] * len(frames)
             continue
         free, T0, edges = stack
-        T, report = pgo.solve_stack(T0, edges)
+        T, report = pgo.solve(T0, edges)
         assert report.iterations == report.graph_iterations.sum()
         assert report.converged == report.graph_converged.all()
-        excluded = [rid for rid in range(1, 5) if rid not in free]
-        for b, (nodes, (poses, alone_report)) in enumerate(zip(initial, alone)):
-            assert report.graph_iterations[b] == alone_report.iterations
-            assert report.graph_converged[b] == alone_report.converged
-            assert alone_report.excluded == excluded
-            assert list(poses) == [0] + free
+        for b, (nodes, (free_alone, T_alone, report_alone)) in enumerate(zip(initial, solved)):
+            assert free_alone == free and sorted(nodes) == [0] + free
+            assert report.graph_iterations[b] == report_alone.iterations
+            assert report.graph_converged[b] == report_alone.converged
+            assert report.initial_cost[b] == report_alone.initial_cost[0]
+            assert report.final_cost[b] == report_alone.final_cost[0]
+            assert np.array_equal(T[b], T_alone[0])
             for s, rid in enumerate(free):
                 assert np.array_equal(T0[b, s], nodes[rid].matrix())
-                assert np.array_equal(T[b, s], poses[rid].matrix())
 
 
 def test_stack_of_two_topologies_matches_one_graph_solves():
@@ -250,7 +224,7 @@ def test_stack_stops_each_graph_at_max_iters(monkeypatch):
     noise = [0.05, 0.0, 0.05, 0.0]  # exact edges converge in the first iteration
     p, q = snapshots(masks, noise)
     assert_stacks_match_one_graph_solves(masks, p, q)
-    _, report = pgo.solve_stack(*initial_stack(FULL, p, q)[1:])
+    _, report = pgo.solve(*initial_stack(FULL, p, q)[1:])
     assert report.graph_iterations.tolist() == [2, 1, 2, 1]
     assert report.graph_converged.tolist() == [False, True, False, True]
 
@@ -266,7 +240,7 @@ def test_stack_keeps_a_singular_try_to_its_graph(monkeypatch):
         return solve_systems(A, b)
 
     monkeypatch.setattr(np.linalg, "solve", spy)
-    solve(edges_from_filters(0, estimates(FULL, p[1], q[1])))
+    alone(FULL, p[1], q[1])
     raised = []
 
     def singular(A, b):  # graph 1's first damped system is singular
@@ -307,10 +281,10 @@ def test_team_run_solves_its_recorded_graphs_as_one_graph_solves(monkeypatch):
     # the run's rows and flags are the one-graph solves', frame by frame
     rows, converged = {rid: [] for rid in res.pgo}, []
     for f, mask in enumerate(masks):
-        poses, report = solve(edges_from_filters(0, estimates(mask, p[f], q[f])))
-        converged.append(report.converged)
-        for rid in poses.keys() - {0}:
-            rows[rid].append((t[f], poses[rid]))
+        free, T, report = alone(mask, p[f], q[f]) or ([], None, None)
+        converged.append(report is None or report.converged)
+        for s, rid in enumerate(free):
+            rows[rid].append((t[f], Pose(T[0, s, :3, :3], T[0, s, :3, 3])))
     assert res.pgo_converged == converged
     for rid, expected in rows.items():
         assert np.array_equal(res.pgo[rid].t, [tt for tt, _ in expected])

@@ -164,6 +164,44 @@ def test_rates_parsed():
         config_from_dict(minimal_dict(rates={"imu": -1.0}))
 
 
+def test_rates_must_divide_the_fastest():
+    with pytest.raises(ConfigError, match="rates: 30 Hz does not divide 100 Hz"):
+        config_from_dict(minimal_dict(rates={"imu": 100.0, "cam": 30.0, "uwb": 50.0}))
+
+
+def test_pgo_rate_must_divide_the_camera_rate():
+    rates = {"imu": 100.0, "cam": 100.0, "uwb": 50.0}
+    for pgo_rate in (40.0, 200.0):  # every 2.5th and every half camera frame
+        with pytest.raises(ConfigError, match="pgo_rate"):
+            config_from_dict(minimal_dict(estimator="pgo", rates=rates, pgo_rate=pgo_rate))
+    assert config_from_dict(minimal_dict(estimator="pgo", rates=rates, pgo_rate=25.0)).pgo_rate == 25.0
+    assert config_from_dict(minimal_dict(estimator="eskf", rates=rates, pgo_rate=40.0)).pgo_rate == 40.0
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="seed"):
+        config_from_dict(minimal_dict(seed=-1))
+
+
+def test_trajectory_shorter_than_the_run_rejected():
+    d = minimal_dict(duration=2.0)
+    d["robots"][1]["trajectory"]["duration"] = 1.0
+    with pytest.raises(ConfigError, match="robot 1's trajectory ends at 1 s"):
+        config_from_dict(d)
+    d["robots"][1]["trajectory"]["duration"] = 3.0
+    assert config_from_dict(d).robots[1][1].duration == 3.0
+
+
+def test_waypoints_must_span_the_trajectory():
+    for knots in ([0.0, 1.0], [0.5, 2.0]):
+        d = minimal_dict(duration=2.0)
+        d["robots"][1]["trajectory"] = {"kind": "waypoints", "waypoints": [[t, [3, 0, 1]] for t in knots]}
+        with pytest.raises(ConfigError, match="waypoints span"):
+            config_from_dict(d)
+    d["robots"][1]["trajectory"]["waypoints"] = [[0.0, [3, 0, 1]], [2.0, [4, 0, 1]]]
+    assert config_from_dict(d).robots[1][1].kind == "waypoints"
+
+
 def test_load_config_json_errors(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
