@@ -48,12 +48,9 @@ def bench(reps: int = 1000, seed: int = 0) -> dict[str, dict[str, float]]:
         q_ba=quat_from_rotvec([0.0, 0.0, 0.3]),
     )
     f.process_measurement(z)
+    # plain floats, as the runner passes each IMU row
     u = ImuPairInput(
-        a_ma=np.array([0.1, 0.0, 9.81]),
-        w_ma=np.array([0.01, 0.0, 0.2]),
-        a_mb=np.array([0.0, 0.05, 9.81]),
-        w_mb=np.array([0.0, 0.02, -0.1]),
-        dt=0.01,
+        a_ma=[0.1, 0.0, 9.81], w_ma=[0.01, 0.0, 0.2], a_mb=[0.0, 0.05, 9.81], w_mb=[0.0, 0.02, -0.1], dt=0.01
     )
 
     def eskf_cycle():

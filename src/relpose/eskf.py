@@ -18,7 +18,10 @@ the manifold).
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +32,10 @@ from .rawpose import RawPoseMeasurement
 # chi^2 inverse CDF at 0.999 with 9 dof, for innovation gating
 CHI2_9_999 = 27.877164871256568
 
-# input-noise covariance of [a_nA, w_nA, a_nB, w_nB], discretized for dt = 0.01 s:
-# accel 183.3 ug/sqrt(Hz), gyro 0.021 (deg/s)/sqrt(Hz)
-_SA2 = (183.3e-6 * 9.81) ** 2 / 0.01
-_SW2 = np.deg2rad(0.021) ** 2 / 0.01
-QI = np.diag([_SA2] * 3 + [_SW2] * 3 + [_SA2] * 3 + [_SW2] * 3)
+# input-noise variances of each accel and gyro axis of both robots,
+# discretized for dt = 0.01 s: accel 183.3 ug/sqrt(Hz), gyro 0.021 (deg/s)/sqrt(Hz)
+ACCEL_VAR = (183.3e-6 * 9.81) ** 2 / 0.01
+GYRO_VAR = np.deg2rad(0.021) ** 2 / 0.01
 
 # error covariance at initialization from a raw measurement
 INIT_P = np.diag([0.25] * 3 + [0.1] * 3 + [np.deg2rad(5.0) ** 2] * 6)
@@ -41,6 +43,7 @@ INIT_P = np.diag([0.25] * 3 + [0.1] * 3 + [np.deg2rad(5.0) ** 2] * 6)
 # measurement noise: sigma max(0.05, 0.02 * range) m on the six position
 # components, ROT_SIGMA on the rotation residual, uncorrelated
 ROT_SIGMA = np.deg2rad(1.5)
+_ROT_VAR = ROT_SIGMA**2
 
 
 class SingularInnovation(np.linalg.LinAlgError):
@@ -63,19 +66,18 @@ class ErrorBelief:
 
 @dataclass
 class ImuPairInput:
-    a_ma: np.ndarray  # A's specific force, body frame, m/s^2
-    w_ma: np.ndarray  # A's angular rate, rad/s
-    a_mb: np.ndarray
-    w_mb: np.ndarray
+    """Both robots' IMU samples over one step, as 3-sequences of floats
+    (lists or tuples are fastest; arrays give the same result)."""
+
+    a_ma: Sequence[float]  # A's specific force, body frame, m/s^2
+    w_ma: Sequence[float]  # A's angular rate, rad/s
+    a_mb: Sequence[float]
+    w_mb: Sequence[float]
     dt: float
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        self.a_ma = np.asarray(self.a_ma, dtype=float)
-        self.w_ma = np.asarray(self.w_ma, dtype=float)
-        self.a_mb = np.asarray(self.a_mb, dtype=float)
-        self.w_mb = np.asarray(self.w_mb, dtype=float)
 
 
 def init_from_raw(z: RawPoseMeasurement) -> tuple[NominalState, ErrorBelief]:
@@ -88,7 +90,8 @@ def init_from_raw(z: RawPoseMeasurement) -> tuple[NominalState, ErrorBelief]:
 # rotation matrices they give and a few 3x3 products. On Python floats each
 # is a handful of multiplications, where every numpy call on a 3-vector
 # costs about a microsecond. Quaternions are (w, x, y, z) tuples and 3x3
-# matrices row-major 9-tuples; the 12x12 algebra stays in numpy.
+# matrices row-major 9-tuples; the 12x12 algebra stays in numpy, through
+# `ndarray.dot`, which costs less per call than `@` at these sizes.
 
 
 def _qexp(x: float, y: float, z: float) -> tuple:
@@ -197,58 +200,74 @@ def _eye_minus_half_skew(x: float, y: float, z: float) -> tuple:
 
 
 def _scaled(A, s: float) -> tuple:
-    return tuple(a * s for a in A)
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = A
+    return (a0 * s, a1 * s, a2 * s, a3 * s, a4 * s, a5 * s, a6 * s, a7 * s, a8 * s)
 
 
-def _blocks(ncols: int, at) -> np.ndarray:
-    """Flat indices, block by block and row-major inside each, of the 3x3
-    blocks at (block row, block column) of a matrix with ncols columns."""
-    return np.array(
-        [(3 * r + i) * ncols + 3 * c + j for r, c in at for i in range(3) for j in range(3)]
-    )
+def _blocks(rows: int, cols: int, at):
+    """A function of one flat tuple of floats that returns a rows x cols matrix,
+    zero but for its 3x3 blocks at (block row, block column), which it takes
+    from the tuple block by block and row-major inside each.
+
+    The floats go through one packed buffer: converting them one by one into
+    an array costs about twice as much.
+    """
+    index = np.array([(3 * r + i) * cols + 3 * c + j for r, c in at for i in range(3) for j in range(3)])
+    pack = struct.Struct(f"{index.size}d").pack
+
+    def matrix(values) -> np.ndarray:
+        M = np.zeros(rows * cols)
+        M[index] = np.frombuffer(pack(*values))
+        return M.reshape(rows, cols)
+
+    return matrix
 
 
 # -- propagation --------------------------------------------------------------
 
-# F = [Fx | Fi], 12 x 24, in the order `_linearize` lists the blocks
-_F_BLOCKS = _blocks(
-    24, [(0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 2), (3, 3), (1, 4), (2, 5), (1, 6), (3, 7)]
-)
+# Fx and Fi from their blocks, in the order `_linearize` and `compute_Fi` list them
+_Fx = _blocks(12, 12, [(0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 2), (3, 3)])
+_Fi = _blocks(12, 12, [(1, 0), (2, 1), (1, 2), (3, 3)])
 
 
-def _linearize(state: NominalState, u: ImuPairInput) -> tuple:
-    """The rotations of one IMU step and the Jacobians built from them.
+def _linearize(q: list, u: ImuPairInput) -> tuple:
+    """The rotations of one IMU step from the nominal quaternion q, and the
+    error-state transition built from them.
 
-    Returns (dq_a, dq_b, Rq, Rb_T, F) with dq_a = Exp(w_mA dt),
-    dq_b = Exp(w_mB dt), Rq = R{q} and Rb_T = R{dq_b}^T as tuples, and
-    F = [Fx | Fi] (12x24): the error-state transition and the Jacobian of the
-    input noise [a_nA, w_nA, a_nB, w_nB]. Block structure after Solà,
-    "Quaternion kinematics for the error-state Kalman filter"
-    (arXiv:1711.02508), sections 5 and 7.
+    Returns (dq_a, dq_b, Rq, Rb_T, Fx) with dq_a = Exp(w_mA dt),
+    dq_b = Exp(w_mB dt), Rq = R{q} and Rb_T = R{dq_b}^T as tuples, and the
+    12x12 error-state transition Fx. Block structure after Solà, "Quaternion
+    kinematics for the error-state Kalman filter" (arXiv:1711.02508),
+    sections 5 and 7.
     """
     dt = u.dt
-    wx, wy, wz = u.w_ma.tolist()
+    wx, wy, wz = u.w_ma
     dq_a = _qexp(wx * dt, wy * dt, wz * dt)
-    wx, wy, wz = u.w_mb.tolist()
+    wx, wy, wz = u.w_mb
     dq_b = _qexp(wx * dt, wy * dt, wz * dt)
-    Rq = _rot(state.q.tolist())
+    Rq = _rot(q)
     Rb_T = _rot(dq_b, transpose=True)
     Rb_T_dt = _scaled(Rb_T, dt)
-    C = _mat(Rb_T_dt, Rq)
-    ax, ay, az = u.a_ma.tolist()
-    m_dt = (-dt, 0.0, 0.0, 0.0, -dt, 0.0, 0.0, 0.0, -dt)
-    F = np.zeros((12, 24))
-    F.flat[_F_BLOCKS] = (
+    ax, ay, az = u.a_ma
+    Fx = _Fx(
         Rb_T + Rb_T_dt  # dp row
-        + Rb_T + _mat_skew(C, (-ax, -ay, -az)) + _mat_skew(Rb_T_dt, u.a_mb.tolist())  # dv row
+        + Rb_T + _mat_skew(_mat(Rb_T_dt, Rq), (-ax, -ay, -az)) + _mat_skew(Rb_T_dt, u.a_mb)  # dv row
         + _rot(dq_a, transpose=True)  # dth_A
         + Rb_T  # dth_B
-        + _scaled(C, -1.0)  # accel noise of A
-        + m_dt  # gyro noise of A
-        + Rb_T_dt  # accel noise of B
-        + m_dt  # gyro noise of B
     )
-    return dq_a, dq_b, Rq, Rb_T, F
+    return dq_a, dq_b, Rq, Rb_T, Fx
+
+
+@functools.lru_cache(maxsize=16)
+def _input_noise(dt: float) -> np.ndarray:
+    """Fi QI Fi' of a step of dt: dt^2 diag(0, 2 ACCEL_VAR, GYRO_VAR, GYRO_VAR), 3 each.
+
+    QI is isotropic per block, and A's accel noise enters the velocity
+    through dt R_b^T R_q, dt times a rotation, as B's enters through dt R_b^T.
+    """
+    D = np.diag([0.0] * 3 + [2.0 * ACCEL_VAR * dt * dt] * 3 + [GYRO_VAR * dt * dt] * 6)
+    D.flags.writeable = False  # shared by every call with this dt
+    return D
 
 
 def predict(
@@ -256,47 +275,53 @@ def predict(
 ) -> tuple[NominalState, ErrorBelief]:
     """Propagate nominal state and error covariance over one IMU interval."""
     dt = u.dt
-    dq_a, dq_b, Rq, Rb_T, F = _linearize(state, u)
-    ax, ay, az = _vec(Rq, u.a_ma.tolist())
-    bx, by, bz = u.a_mb.tolist()
+    q = state.q.tolist()
+    dq_a, dq_b, Rq, Rb_T, Fx = _linearize(q, u)
+    ax, ay, az = _vec(Rq, u.a_ma)
+    bx, by, bz = u.a_mb
     ax, ay, az = ax - bx, ay - by, az - bz  # relative acceleration
     px, py, pz = state.p.tolist()
     vx, vy, vz = state.v.tolist()
     h = 0.5 * dt * dt
     p = _vec(Rb_T, (px + vx * dt + ax * h, py + vy * dt + ay * h, pz + vz * dt + az * h))
     v = _vec(Rb_T, (vx + ax * dt, vy + ay * dt, vz + az * dt))
-    q = _qsandwich(dq_b, state.q.tolist(), dq_a)
-    PQ = np.zeros((24, 24))
-    PQ[:12, :12] = belief.P
-    PQ[12:, 12:] = QI
-    P = F @ PQ @ F.T  # Fx P Fx' + Fi Qi Fi'
-    delta = F[:, :12] @ belief.delta_mean  # zero in steady operation
+    P = Fx.dot(belief.P).dot(Fx.T)
+    P += _input_noise(dt)  # Fx P Fx' + Fi QI Fi'
     return (
-        NominalState(np.array(p), np.array(v), q, state.t + dt),
-        ErrorBelief(delta, 0.5 * (P + P.T)),
+        NominalState(np.array(p), np.array(v), _qsandwich(dq_b, q, dq_a), state.t + dt),
+        ErrorBelief(Fx.dot(belief.delta_mean), 0.5 * (P + P.T)),  # delta is zero in steady operation
     )
 
 
 def compute_Fx(state: NominalState, u: ImuPairInput) -> np.ndarray:
     """Discrete error-state transition Jacobian, as `predict` propagates with."""
-    return _linearize(state, u)[4][:, :12]
+    return _linearize(state.q.tolist(), u)[4]
 
 
 def compute_Fi(state: NominalState, u: ImuPairInput) -> np.ndarray:
-    """Jacobian w.r.t. the input noise [a_nA, w_nA, a_nB, w_nB], as `predict` uses."""
-    return _linearize(state, u)[4][:, 12:]
+    """Jacobian w.r.t. the input noise [a_nA, w_nA, a_nB, w_nB]; `predict` adds
+    its Fi QI Fi' as a constant diagonal (`_input_noise`)."""
+    dt = u.dt
+    wx, wy, wz = u.w_mb
+    Rb_T_dt = _scaled(_rot(_qexp(wx * dt, wy * dt, wz * dt), transpose=True), dt)
+    m_dt = (-dt, 0.0, 0.0, 0.0, -dt, 0.0, 0.0, 0.0, -dt)
+    return _Fi(
+        _scaled(_mat(Rb_T_dt, _rot(state.q.tolist())), -1.0)  # accel noise of A
+        + m_dt  # gyro noise of A
+        + Rb_T_dt  # accel noise of B
+        + m_dt  # gyro noise of B
+    )
 
 
 # -- correction ---------------------------------------------------------------
 
-_H_BLOCKS = _blocks(12, [(0, 0), (0, 3), (1, 0), (1, 2), (2, 2), (2, 3)])
+_H = _blocks(9, 12, [(0, 0), (0, 3), (1, 0), (1, 2), (2, 2), (2, 3)])
 _I3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def _measurement_jacobian(p, Rq_T, Rq_T_p) -> np.ndarray:
     neg_Rq_T = _scaled(Rq_T, -1.0)
-    H = np.zeros((9, 12))
-    H.flat[_H_BLOCKS] = (
+    return _H(
         # p_BA: p_t = R{dth_B}^T (p + dp) ~ p + dp + [p]x dth_B
         _I3 + _skew(p)
         # p_AB: -R{q_t}^T p_t ~ -R^T p - R^T dp - [R^T p]x dth_A
@@ -304,7 +329,6 @@ def _measurement_jacobian(p, Rq_T, Rq_T_p) -> np.ndarray:
         # rotation residual rotvec(q^-1 ⊗ q_t) ~ dth_A - R^T dth_B
         + _I3 + neg_Rq_T
     )
-    return H
 
 
 def _model(state: NominalState) -> tuple:
@@ -321,20 +345,18 @@ def compute_H(state: NominalState) -> np.ndarray:
     return _measurement_jacobian(p, Rq_T, Rq_T_p)
 
 
-def _innovation(q, p, Rq_T_p, z: RawPoseMeasurement) -> np.ndarray:
+def _innovation(q, p, Rq_T_p, z: RawPoseMeasurement) -> tuple:
     b0, b1, b2 = z.p_ba.tolist()
     a0, a1, a2 = z.p_ab.tolist()
     rot = _qlog(_qunit(_qmul(_qconj(q), z.q_ba.tolist())))
-    return np.array(
-        (b0 - p[0], b1 - p[1], b2 - p[2],
-         a0 + Rq_T_p[0], a1 + Rq_T_p[1], a2 + Rq_T_p[2], *rot)
-    )
+    return (b0 - p[0], b1 - p[1], b2 - p[2],
+            a0 + Rq_T_p[0], a1 + Rq_T_p[1], a2 + Rq_T_p[2], *rot)
 
 
 def innovation(state: NominalState, z: RawPoseMeasurement) -> np.ndarray:
     """9-vector residual z ⊖ h(x): positions subtract, rotations compose."""
     q, p, _, Rq_T_p = _model(state)
-    return _innovation(q, p, Rq_T_p, z)
+    return np.array(_innovation(q, p, Rq_T_p, z))
 
 
 def update(state: NominalState, belief: ErrorBelief, z: RawPoseMeasurement) -> ErrorBelief:
@@ -342,31 +364,32 @@ def update(state: NominalState, belief: ErrorBelief, z: RawPoseMeasurement) -> E
 
     Raises SingularInnovation when HPH'+V is not invertible. Returns the
     input belief unchanged when the innovation fails the chi-square gate.
+    The returned P is symmetrized by `inject_and_reset`, which always follows.
     """
     q, p, Rq_T, Rq_T_p = _model(state)
     H = _measurement_jacobian(p, Rq_T, Rq_T_p)
-    y = _innovation(q, p, Rq_T_p, z)
-    HP = H @ belief.P
-    S = HP @ H.T
+    rhs = np.empty((9, 13))  # [y | HP]: one factorization of S for S^-1 y and S^-1 HP
+    y, HP = rhs[:, 0], rhs[:, 1:]
+    y[:] = _innovation(q, p, Rq_T_p, z)
+    np.matmul(H, belief.P, out=HP)
+    S = HP.dot(H.T)
     # + V, diagonal: range-scaled position noise, then rotation noise
     x, yy, zz = z.p_ba.tolist()
-    S.flat[0:60:10] += max(0.05, 0.02 * math.sqrt(x * x + yy * yy + zz * zz)) ** 2
-    S.flat[60::10] += ROT_SIGMA**2
+    sp2 = max(0.05, 0.02 * math.sqrt(x * x + yy * yy + zz * zz)) ** 2
+    S.reshape(-1)[::10] += (sp2, sp2, sp2, sp2, sp2, sp2, _ROT_VAR, _ROT_VAR, _ROT_VAR)
     try:
-        # one factorization of S for both S^-1 y and S^-1 HP
-        X = np.linalg.solve(S, np.column_stack((y, HP)))
+        X = np.linalg.solve(S, rhs)
     except np.linalg.LinAlgError as e:
         raise SingularInnovation(str(e)) from e
-    if float(y @ X[:, 0]) > CHI2_9_999:
+    if float(y.dot(X[:, 0])) > CHI2_9_999:
         return belief
     K = X[:, 1:].T  # = P H' S^-1
-    P = belief.P - K @ HP
-    return ErrorBelief(K @ y, 0.5 * (P + P.T))
+    return ErrorBelief(K.dot(y), belief.P - K.dot(HP))
 
 
 # -- injection and reset ------------------------------------------------------
 
-_G_BLOCKS = _blocks(12, [(0, 0), (1, 1), (2, 2), (3, 3)])
+_G = _blocks(12, 12, [(0, 0), (1, 1), (2, 2), (3, 3)])
 
 
 def _inject(state: NominalState, d: np.ndarray) -> tuple[NominalState, list, tuple]:
@@ -384,18 +407,14 @@ def _inject(state: NominalState, d: np.ndarray) -> tuple[NominalState, list, tup
 
 def _reset_jacobian(d: list, Rb_T: tuple) -> np.ndarray:
     """Block-diagonal G: Rb_T, Rb_T, I - [dth_A/2]x, I - [dth_B/2]x."""
-    G = np.zeros((12, 12))
-    G.flat[_G_BLOCKS] = (
-        Rb_T + Rb_T + _eye_minus_half_skew(*d[6:9]) + _eye_minus_half_skew(*d[9:12])
-    )
-    return G
+    return _G(Rb_T + Rb_T + _eye_minus_half_skew(*d[6:9]) + _eye_minus_half_skew(*d[9:12]))
 
 
 def inject_and_reset(state: NominalState, belief: ErrorBelief) -> tuple[NominalState, ErrorBelief]:
     """Fold delta_mean into the nominal state, then zero it and remap P."""
     new_state, d, Rb_T = _inject(state, belief.delta_mean)
     G = _reset_jacobian(d, Rb_T)
-    P = G @ belief.P @ G.T
+    P = G.dot(belief.P).dot(G.T)
     return new_state, ErrorBelief(np.zeros(12), 0.5 * (P + P.T))
 
 
@@ -415,11 +434,6 @@ def reset_jacobian(delta_hat: np.ndarray) -> np.ndarray:
     """Jacobian of reset_map w.r.t. delta, as `inject_and_reset` remaps P with."""
     d = delta_hat.tolist()
     return _reset_jacobian(d, _rot(_qexp(*d[9:12]), transpose=True))
-
-
-def true_state(state: NominalState, belief: ErrorBelief) -> NominalState:
-    """x ⊕ delta_mean without mutating the filter."""
-    return _inject(state, belief.delta_mean)[0]
 
 
 class RelativePoseFilter:

@@ -64,8 +64,10 @@ def _pose_series(rows: list) -> PoseSeries:
 
 
 def _filter_series(rows: list) -> FilterSeries:
-    """Rows of (t, p, v, q, P_diag), 23 values each, as one series."""
+    """Rows of (t, p, v, q, P_diag), 23 values each, as one series, with w >= 0."""
     a = np.array(rows, dtype=float).reshape(-1, 23)
+    q = a[:, 7:11]
+    q[q[:, 0] < 0] *= -1.0
     return FilterSeries(t=a[:, 0], p=a[:, 1:4], q=a[:, 7:11], v=a[:, 4:7], P_diag=a[:, 11:])
 
 
@@ -282,9 +284,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                         k.tolist(), c.tolist(), t_rows.tolist(), z.p_ba[ok], z.p_ab[ok], z.q_ba[ok]
                     )
                 }
-                # each robot's IMU rows as (accel, gyro) views, and per pair
-                # whether both robots' rows are finite
-                imu = [[(row[:3], row[3:]) for row in rows] for rows in chunk.imu]
+                # each robot's IMU rows as (accel, gyro) float lists, and per
+                # pair whether both robots' rows are finite
+                imu = [[(row[:3], row[3:]) for row in rows] for rows in chunk.imu.tolist()]
                 finite = np.isfinite(chunk.imu).all(axis=2)
                 imu_ok = (finite[raw.obs] & finite[raw.tgt]).tolist()
 
@@ -307,8 +309,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                         last_meas_t[pair] = t
                 if f.initialized:
                     st = f.state
-                    q = -st.q if st.q[0] < 0 else st.q
-                    eskf_rows[pair].append(np.concatenate(([t], st.p, st.v, q, np.diag(f.belief.P))))
+                    eskf_rows[pair].append(np.concatenate(([t], st.p, st.v, st.q, f.belief.P.diagonal())))
 
             if run_pgo and cam_tick % pgo_every == 0:
                 edge = tuple(t - last_meas_t.get(pair, -1e9) <= edge_stale for pair in pairs)
@@ -356,9 +357,10 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def export_ground_truth(world: World, duration: float, out_dir: Path) -> None:
-    """Per-robot world-frame ground truth at the camera rate (SI units)."""
+    """Per-robot world-frame ground truth at the camera rate (SI units), up to the
+    last camera tick of the run."""
     grid = world.truth_grid(duration)
-    n = int(round(duration * world.cam_rate))
+    n = int(duration * world.cam_rate + 1e-9)
     ts = np.arange(n + 1) / world.cam_rate
     k = grid.ticks(ts)
     for rid in sorted(world.robots):

@@ -5,7 +5,7 @@ Schema (JSON, ``version: 1``) — all fields with defaults may be omitted:
     {
       "version": 1,
       "seed": 42,                  // >= 0, seeds the sensor noise
-      "duration": 10.0,            // seconds
+      "duration": 10.0,            // seconds, a whole number of ticks of the fastest rate
       "ego": 0,                    // observer whose frame PGO fixes
       "estimator": "eskf",         // "raw" | "eskf" | "pgo"
       "pairs": "ego",              // "ego" | "all" (which filters run)
@@ -91,6 +91,11 @@ class ScenarioConfig:
                 stride(fast, rate)
             except ValueError as e:
                 raise ConfigError(f"{name}: {e}") from e
+        ticks = self.duration * master  # the run ends on a master tick
+        if abs(ticks - round(ticks)) > 1e-9 * max(ticks, 1.0):
+            raise ConfigError(
+                f"duration: {self.duration:g} s is not a whole number of {master:g} Hz master ticks"
+            )
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         for rid, spec, _ in self.robots:

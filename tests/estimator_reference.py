@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from relpose.eskf import CHI2_9_999, QI, ROT_SIGMA, ErrorBelief, NominalState, SingularInnovation
+from relpose.eskf import (
+    ACCEL_VAR,
+    CHI2_9_999,
+    GYRO_VAR,
+    ROT_SIGMA,
+    ErrorBelief,
+    NominalState,
+    SingularInnovation,
+)
 from relpose.geom import (
     Pose,
     quat_conj,
@@ -28,6 +36,9 @@ from relpose.geom import (
     skew,
 )
 from relpose.pgo import _GEN, HUBER_DELTA, MAX_ITERS, REL_TOL, _Edges, residual
+
+# input-noise covariance of [a_nA, w_nA, a_nB, w_nB]
+QI = np.diag([ACCEL_VAR] * 3 + [GYRO_VAR] * 3 + [ACCEL_VAR] * 3 + [GYRO_VAR] * 3)
 
 
 def compute_Fx(state, u, dt):

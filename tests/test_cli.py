@@ -135,8 +135,9 @@ def robot_1(trajectory):
             robot_1({"kind": "waypoints", "waypoints": [[0.0, [4, 0, 1]], [1.0, [5, 0, 1]]]}),
             "trajectory: waypoints span [0, 1] s, not [0, 2] s",
         ),
+        ({"duration": 2.005}, "duration: 2.005 s is not a whole number of 100 Hz master ticks"),
     ],
-    ids=["rates", "seed", "pgo_rate", "short_trajectory", "waypoints"],
+    ids=["rates", "seed", "pgo_rate", "short_trajectory", "waypoints", "duration"],
 )
 def test_run_config_error_exits_2(tmp_path, capsys, extra, message):
     cfg = write_small_scenario(tmp_path, **extra)

@@ -19,9 +19,9 @@ from relpose.eskf import (
     predict,
     reset_jacobian,
     reset_map,
-    true_state,
     update,
 )
+from estimator_reference import true_state
 from relpose.geom import (
     quat_from_euler_zyx,
     quat_from_rotvec,
@@ -266,6 +266,31 @@ def test_singular_innovation_raised():
     assert np.array_equal((H @ belief.P @ H.T)[6:9, 6:9], -(ROT_SIGMA**2) * np.eye(3))
     with pytest.raises(SingularInnovation):
         update(state, belief, z)
+
+
+def test_filter_takes_imu_rows_as_lists_or_arrays():
+    # the runner passes each IMU row as float lists; arrays must give the same bits
+    rng = np.random.default_rng(11)
+    rows = rng.normal(0.0, 0.5, (40, 2, 6))
+    rows[:, :, 2] += 9.81
+    z = RawPoseMeasurement(
+        p_ba=np.array([2.0, 0.5, 0.1]), p_ab=np.array([-2.0, -0.5, -0.1]), q_ba=np.array([1.0, 0, 0, 0])
+    )
+    out = []
+    for tape in (rows, rows.tolist()):
+        f = RelativePoseFilter()
+        f.process_measurement(z)
+        for k, (a, b) in enumerate(tape):
+            f.process_imu(ImuPairInput(a[:3], a[3:], b[:3], b[3:], 0.01))
+            if k % 4 == 3:
+                f.process_measurement(z)
+        out.append(f)
+    arrays, lists = out
+    for name in ("p", "v", "q", "t"):
+        assert np.array_equal(getattr(arrays.state, name), getattr(lists.state, name)), name
+    assert np.array_equal(arrays.belief.P, lists.belief.P)
+    assert np.array_equal(arrays.belief.delta_mean, lists.belief.delta_mean)
+    assert not np.array_equal(arrays.state.p, z.p_ba)  # the filter moved
 
 
 def test_filter_wrapper_lifecycle():

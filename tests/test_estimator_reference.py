@@ -33,7 +33,8 @@ def _random_step(rng, k):
     # every third input has a still observer: the first-order branch of Exp
     w_mb = rng.normal(0, 1.0, 3) if k % 3 else np.zeros(3)
     a_ma, w_ma, a_mb = rng.normal(0, 5.0, 3), rng.normal(0, 1.0, 3), rng.normal(0, 5.0, 3)
-    u = eskf.ImuPairInput(a_ma, w_ma, a_mb, w_mb, 0.01)
+    # the input noise predict adds is a diagonal per dt: check it over a range of steps
+    u = eskf.ImuPairInput(a_ma, w_ma, a_mb, w_mb, float(rng.uniform(0.001, 0.05)))
     p_ab = -rotmat_from_quat(state.q).T @ state.p
     if k % 10 == 9:
         p_ab = p_ab + 10.0  # far outside the chi-square gate

@@ -433,6 +433,16 @@ def _csv_table(path: Path) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(lines), header.count(",") + 1)
 
 
+def test_ground_truth_export_ends_at_the_last_camera_tick(tmp_path):
+    # 1.055 s is 211 ticks of the 200 Hz master clock but 105.5 camera periods
+    d = json.loads((SCENARIOS / "two_robot_manual.json").read_text())
+    cfg = config_from_dict(d | {"duration": 1.055})
+    assert cfg.cam_rate == 100.0
+    export_ground_truth(build_world(cfg), cfg.duration, tmp_path)
+    t = _csv_table(tmp_path / "gt_robot0.csv")[:, 0]
+    assert len(t) == 106 and t[-1] == 1.05
+
+
 def test_metrics_recompute_from_written_columns(tmp_path):
     cfg = config_from_dict(json.loads((SCENARIOS / "four_robot_pgo.json").read_text()))
     cfg.duration = 2.0

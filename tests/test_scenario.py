@@ -169,6 +169,15 @@ def test_rates_must_divide_the_fastest():
         config_from_dict(minimal_dict(rates={"imu": 100.0, "cam": 30.0, "uwb": 50.0}))
 
 
+def test_duration_must_be_a_whole_number_of_master_ticks():
+    rates = {"imu": 200.0, "cam": 100.0, "uwb": 50.0}  # scenarios/two_robot_manual.json
+    for duration in (1.006, 1.0025):  # 201.2 and 200.5 ticks of the 200 Hz master clock
+        with pytest.raises(ConfigError, match=f"duration: {duration:g} s is not a whole number of 200 Hz"):
+            config_from_dict(minimal_dict(duration=duration, rates=rates))
+    for duration in (1.005, 1.055, 20.01, 0.1):  # 201, 211, 4002 and 20 ticks
+        assert config_from_dict(minimal_dict(duration=duration, rates=rates)).duration == duration
+
+
 def test_pgo_rate_must_divide_the_camera_rate():
     rates = {"imu": 100.0, "cam": 100.0, "uwb": 50.0}
     for pgo_rate in (40.0, 200.0):  # every 2.5th and every half camera frame
