@@ -1,11 +1,11 @@
 """Scenario runner: simulate, estimate, record, export.
 
-Wires the world's sensor streams through the ID codec, the raw closed-form
-solve, one relative-pose filter per observed pair, and (optionally) a
-per-frame pose graph in the ego robot's frame. Raw measurements are formed
-per chunk of the sensor tape, before its filters run; on each IMU tick every
-pair filter predicts from both robots' rows of the chunk's IMU array. A
-chunk's PGO frames snapshot the filters; the next chunk's first frame solves them.
+Walks the sensor tape one chunk at a time. Per chunk, the raw measurements are
+formed in one array pass; then each observed pair's relative-pose filter walks
+the chunk's ticks alone, predicting from both robots' rows of the chunk's IMU
+array and correcting on its camera rows (the filters share no state, so this
+gives what a walk tick by tick would); then, with PGO, the pose graphs of the
+chunk's PGO camera frames are solved in the ego robot's frame.
 """
 
 from __future__ import annotations
@@ -213,8 +213,8 @@ class _RawMeasurements:
 
 
 def _solve_graphs(ego: int, pairs: list, snaps: list, pgo_rows: dict, pgo_converged: list) -> None:
-    """Solve and empty a chunk's snapshots (t, edge mask, the masked pairs' states), one
-    stack per mask; a mask whose edges miss the ego gives no rows and converges."""
+    """Solve a chunk's snapshots (t, edge mask, the masked pairs' states), one stack
+    per mask; a mask whose edges miss the ego gives no rows and converges."""
     groups: dict[tuple, list[int]] = {}
     for k, (_, edge, _) in enumerate(snaps):
         groups.setdefault(edge, []).append(k)
@@ -234,97 +234,95 @@ def _solve_graphs(ego: int, pairs: list, snaps: list, pgo_rows: dict, pgo_conver
     for c, rows in enumerate(pgo_rows.values()):
         k = solved[:, c]
         rows.append(np.column_stack((t[k], X[k, c, :3, 3], q[k, c])))
-    snaps.clear()
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Simulate one scenario and run the configured estimator stack."""
     world = build_world(cfg)
-    ids = sorted(world.robots)
     pairs = _pairs_for(cfg)
     run_eskf = cfg.estimator in ("eskf", "pgo")
     run_pgo = cfg.estimator == "pgo"
 
     raw = _RawMeasurements(cfg, world, pairs)
-    filters = {pair: RelativePoseFilter() for pair in pairs}
-    obs_of, tgt_of = raw.obs.tolist(), raw.tgt.tolist()  # each pair's robot indices on the tape
-    last_meas_t: dict[tuple[int, int], float] = {}
+    filters = [RelativePoseFilter() for _ in pairs]
+    last_meas_t = [-1e9] * len(pairs)  # each filter's last accepted measurement time
 
     # raw and PGO rows as (m, 8) blocks per chunk; one row of plain values per
     # filter sample; arrays are built after the loop
-    raw_rows: dict[tuple[int, int], list] = {pair: [] for pair in pairs}
-    eskf_rows: dict[tuple[int, int], list] = {pair: [] for pair in pairs}
-    pgo_rows: dict[int, list] = {rid: [np.empty((0, 8))] for rid in ids if rid != cfg.ego}
+    raw_rows: list[list] = [[] for _ in pairs]
+    eskf_rows: list[list] = [[] for _ in pairs]
+    pgo_rows: dict[int, list] = {rid: [np.empty((0, 8))] for rid in sorted(world.robots) if rid != cfg.ego}
     pgo_converged: list[bool] = []
-    snaps: list[tuple] = []  # the chunk's PGO frames, solved on the next chunk's first frame
 
     imu_dt = 1.0 / cfg.imu_rate
     edge_stale = 0.25  # drop PGO edges whose filter saw no measurement lately
     pgo_every = stride(cfg.cam_rate, cfg.pgo_rate) if run_pgo else None
-    cam_tick = 0
-    chunk = None
+    cam_tick = 0  # camera ticks before the chunk
 
-    for frame in world.frames(cfg.duration):
-        t = frame.t
-        # -- raw measurements of the whole chunk, on its first frame -------
-        if frame.chunk is not chunk:
-            if snaps:
-                _solve_graphs(cfg.ego, pairs, snaps, pgo_rows, pgo_converged)
-            chunk = frame.chunk
-            k, c, t_rows, z = raw.form(chunk)
-            ok = z.ok
-            k, c, t_rows = k[ok], c[ok], t_rows[ok]
-            block = np.column_stack((t_rows, z.p_ba[ok], z.q_ba[ok]))
-            for n, pair in enumerate(pairs):
-                raw_rows[pair].append(block[k == n])
-            if run_eskf:  # the filters' measurements, by pair and camera row
-                measurements = {
-                    (pairs[n], row): RawPoseMeasurement(p_ba, p_ab, q_ba, tt)
-                    for n, row, tt, p_ba, p_ab, q_ba in zip(
-                        k.tolist(), c.tolist(), t_rows.tolist(), z.p_ba[ok], z.p_ab[ok], z.q_ba[ok]
-                    )
-                }
-                # each robot's IMU rows as (accel, gyro) float lists, and per
-                # pair whether both robots' rows are finite
-                imu = [[(row[:3], row[3:]) for row in rows] for rows in chunk.imu.tolist()]
-                finite = np.isfinite(chunk.imu).all(axis=2)
-                imu_ok = (finite[raw.obs] & finite[raw.tgt]).tolist()
+    for chunk in world.frames(cfg.duration):
+        k, c, t_rows, z = raw.form(chunk)
+        ok = z.ok
+        k, c, t_rows = k[ok], c[ok], t_rows[ok]
+        block = np.column_stack((t_rows, z.p_ba[ok], z.q_ba[ok]))
+        for n, rows in enumerate(raw_rows):
+            rows.append(block[k == n])
+        if not run_eskf:
+            continue
+        # each pair's measurements by camera row, None where it has none
+        n_cam = chunk.lit.shape[0]
+        measurements = [[None] * n_cam for _ in pairs]
+        for n, row, tt, p_ba, p_ab, q_ba in zip(
+            k.tolist(), c.tolist(), t_rows.tolist(), z.p_ba[ok], z.p_ab[ok], z.q_ba[ok]
+        ):
+            measurements[n][row] = RawPoseMeasurement(p_ba, p_ab, q_ba, tt)
+        # each robot's IMU rows as (accel, gyro) float lists, and per pair
+        # whether both robots' rows are finite
+        imu = [[(row[:3], row[3:]) for row in rows] for rows in chunk.imu.tolist()]
+        finite = np.isfinite(chunk.imu).all(axis=2)
+        imu_ok = (finite[raw.obs] & finite[raw.tgt]).tolist()
+        ticks = list(zip(chunk.t.tolist(), chunk.imu_row.tolist(), chunk.cam_row.tolist()))
+        at_pgo = [(cam_tick + row) % pgo_every == 0 if run_pgo else False for row in range(n_cam)]
+        cam_tick += n_cam
 
-        # -- estimate ------------------------------------------------------
-        if frame.has_imu and run_eskf:
-            r = frame.imu
-            for f, obs, tgt, ok in zip(filters.values(), obs_of, tgt_of, imu_ok):
-                if ok[r]:  # a non-finite row skips the pair's prediction
-                    f.process_imu(ImuPairInput(*imu[tgt][r], *imu[obs][r], imu_dt))
-
-        if frame.has_cam and run_eskf:
-            for pair, f in filters.items():
-                z = measurements.get((pair, frame.cam))
-                if z is not None:
+        # each pair's filter walks the chunk alone; at the PGO camera rows it
+        # records its state, or None where its last measurement is stale
+        records = []
+        for n, (f, obs, tgt) in enumerate(zip(filters, raw.obs.tolist(), raw.tgt.tolist())):
+            meas, imu_a, imu_b, fine, rows = measurements[n], imu[tgt], imu[obs], imu_ok[n], eskf_rows[n]
+            last_t, record = last_meas_t[n], []
+            for t, r, row in ticks:
+                if r >= 0 and fine[r]:  # a non-finite row skips the pair's prediction
+                    f.process_imu(ImuPairInput(*imu_a[r], *imu_b[r], imu_dt))
+                if row < 0:
+                    continue
+                if meas[row] is not None:
                     try:
-                        f.process_measurement(z)
+                        f.process_measurement(meas[row])
                     except SingularInnovation:
                         pass  # skip this update; the filter keeps its prior
                     else:
-                        last_meas_t[pair] = t
+                        last_t = t
                 if f.initialized:
                     st = f.state
-                    eskf_rows[pair].append(np.concatenate(([t], st.p, st.v, st.q, f.belief.P.diagonal())))
+                    rows.append(np.concatenate(([t], st.p, st.v, st.q, f.belief.P.diagonal())))
+                if at_pgo[row]:  # the filters replace their states, never write into them
+                    record.append(f.state if t - last_t <= edge_stale else None)
+            last_meas_t[n] = last_t
+            records.append(record)
 
-            if run_pgo and cam_tick % pgo_every == 0:
-                edge = tuple(t - last_meas_t.get(pair, -1e9) <= edge_stale for pair in pairs)
-                if any(edge):  # the filters replace their states, never write into them
-                    snaps.append((t, edge, [f.state for f, e in zip(filters.values(), edge) if e]))
-        if frame.has_cam:
-            cam_tick += 1
+        snaps = []
+        for t, states in zip(chunk.t[chunk.cam_row >= 0][at_pgo].tolist(), zip(*records)):
+            edge = tuple(s is not None for s in states)
+            if any(edge):
+                snaps.append((t, edge, [s for s in states if s is not None]))
+        if snaps:
+            _solve_graphs(cfg.ego, pairs, snaps, pgo_rows, pgo_converged)
 
-    if snaps:
-        _solve_graphs(cfg.ego, pairs, snaps, pgo_rows, pgo_converged)
     result = RunResult(
         config=cfg,
         world=world,
-        raw={pair: _pose_series(np.concatenate(rows)) for pair, rows in raw_rows.items()},
-        eskf={pair: _filter_series(rows) for pair, rows in eskf_rows.items()},
+        raw={pair: _pose_series(np.concatenate(rows)) for pair, rows in zip(pairs, raw_rows)},
+        eskf={pair: _filter_series(rows) for pair, rows in zip(pairs, eskf_rows)},
         pgo={rid: _pose_series(np.concatenate(rows)) for rid, rows in pgo_rows.items()},
         pgo_converged=pgo_converged,
         metrics={},

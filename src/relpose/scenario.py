@@ -21,13 +21,16 @@ Schema (JSON, ``version: 1``) — all fields with defaults may be omitted:
     }
 
 Trajectory objects mirror `relpose.trajectory.TrajectorySpec`; the nested
-"attitude" object mirrors `AttitudeProfile` (angles in radians).
+"attitude" object mirrors `AttitudeProfile` (angles in radians). An unknown
+field, a non-numeric value or a non-integral seed, ego, id or led is a
+`ConfigError`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .camera import DEFAULT_INTRINSICS, DsIntrinsics
@@ -103,11 +106,42 @@ class ScenarioConfig:
                 raise ConfigError(f"robots: robot {rid}'s trajectory ends at {spec.duration:g} s, before the run")
 
 
-def _attitude_from_dict(d: dict) -> AttitudeProfile:
-    keys = {"rpy0", "amp", "freq", "phase", "yaw_rate"}
-    bad = set(d) - keys
+def _check_fields(d, known: set, where: str, required: tuple = ()) -> dict:
+    """d itself; ConfigError unless it is an object with the required fields and no unknown one."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object, got {d!r}")
+    for k in required:
+        if k not in d:
+            raise ConfigError(f"{k}: missing from {where}")
+    bad = set(d) - known
     if bad:
-        raise ConfigError(f"trajectory.attitude: unknown fields {sorted(bad)}")
+        raise ConfigError(f"{where}: unknown fields {sorted(bad)}")
+    return d
+
+
+def _number(x, name: str, integer: bool = False):
+    """x as a float, or as an int; ConfigError unless it is a finite number, a whole one for an int."""
+    try:
+        ok = isinstance(x, int) or math.isfinite(x) and (not integer or x.is_integer())
+        if ok and not isinstance(x, bool):
+            return int(x) if integer else float(x)
+    except (TypeError, OverflowError):
+        pass
+    raise ConfigError(f"{name}: expected {'an integer' if integer else 'a finite number'}, got {x!r}")
+
+
+def _from_numbers(cls, d, where: str):
+    """Dataclass cls built from an object of some of its float fields."""
+    _check_fields(d, {f.name for f in fields(cls)}, where)
+    kwargs = {k: _number(x, f"{where}.{k}") for k, x in d.items()}
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
+def _attitude_from_dict(d: dict) -> AttitudeProfile:
+    _check_fields(d, {"rpy0", "amp", "freq", "phase", "yaw_rate"}, "trajectory.attitude")
     kwargs = {}
     for k in ("rpy0", "amp", "freq", "phase"):
         if k in d:
@@ -118,70 +152,62 @@ def _attitude_from_dict(d: dict) -> AttitudeProfile:
 
 
 def _trajectory_from_dict(d: dict, duration: float) -> TrajectorySpec:
-    if "kind" not in d:
-        raise ConfigError("trajectory.kind: missing")
-    kwargs = dict(d)
+    kwargs = dict(_check_fields(d, {f.name for f in fields(TrajectorySpec)}, "trajectory", ("kind",)))
     att = kwargs.pop("attitude", None)
-    if "waypoints" in kwargs:
-        kwargs["waypoints"] = [(float(t), tuple(map(float, p))) for t, p in kwargs["waypoints"]]
-    for k in ("center", "amplitude", "freq", "phase3"):
-        if k in kwargs:
-            kwargs[k] = tuple(float(x) for x in kwargs[k])
     kwargs.setdefault("duration", duration)
+    for k in ("duration", "radius", "omega", "phase"):
+        if k in kwargs:
+            kwargs[k] = _number(kwargs[k], f"trajectory.{k}")
     try:
-        spec = TrajectorySpec(
-            attitude=_attitude_from_dict(att) if att else AttitudeProfile(), **kwargs
-        )
-    except TypeError as e:
+        if "waypoints" in kwargs:
+            kwargs["waypoints"] = [(float(t), tuple(map(float, p))) for t, p in kwargs["waypoints"]]
+        for k in ("center", "amplitude", "freq", "phase3"):
+            if k in kwargs:
+                kwargs[k] = tuple(float(x) for x in kwargs[k])
+        return TrajectorySpec(attitude=_attitude_from_dict(att) if att else AttitudeProfile(), **kwargs)
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"trajectory: {e}") from e
-    except ValueError as e:
-        raise ConfigError(f"trajectory: {e}") from e
-    return spec
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    if d.get("version") != 1:
-        raise ConfigError(f"version: expected 1, got {d.get('version')!r}")
-    if "robots" not in d or "duration" not in d:
-        missing = [k for k in ("robots", "duration") if k not in d]
-        raise ConfigError(f"{missing[0]}: missing")
-    duration = float(d["duration"])
+    top = {"version", "seed", "duration", "ego", "estimator", "pairs", "id_mode", "pgo_rate", "rates", "robots"}
+    _check_fields(d, top | {"camera", "noise", "obstacles"}, "config", ("version", "robots", "duration"))
+    if _number(d["version"], "version", integer=True) != 1:
+        raise ConfigError(f"version: expected 1, got {d['version']!r}")
+    for key in ("robots", "obstacles"):
+        if not isinstance(d.get(key, []), list):
+            raise ConfigError(f"{key}: expected a list, got {d[key]!r}")
+    duration = _number(d["duration"], "duration")
     robots = []
-    for r in d["robots"]:
-        if "id" not in r or "trajectory" not in r:
-            raise ConfigError("robots[*]: each robot needs 'id' and 'trajectory'")
-        robots.append(
-            (int(r["id"]), _trajectory_from_dict(r["trajectory"], duration), int(r.get("led", r["id"])))
-        )
-    try:
-        noise = NoiseParams(**d.get("noise", {}))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"noise: {e}") from e
-    try:
-        camera = DsIntrinsics(**d["camera"]) if "camera" in d else DEFAULT_INTRINSICS
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"camera: {e}") from e
+    for n, r in enumerate(d["robots"]):
+        _check_fields(r, {"id", "led", "trajectory"}, f"robots[{n}]", ("id", "trajectory"))
+        rid = _number(r["id"], f"robots[{n}].id", integer=True)
+        led = _number(r.get("led", rid), f"robots[{n}].led", integer=True)
+        robots.append((rid, _trajectory_from_dict(r["trajectory"], duration), led))
+    noise = _from_numbers(NoiseParams, d.get("noise", {}), "noise")
+    camera = _from_numbers(DsIntrinsics, d["camera"], "camera") if "camera" in d else DEFAULT_INTRINSICS
     obstacles = []
-    for ob in d.get("obstacles", []):
+    for n, ob in enumerate(d.get("obstacles", [])):
+        _check_fields(ob, {"shape", "center", "extents"}, f"obstacles[{n}]", ("shape", "center", "extents"))
         try:
             obstacles.append(
                 Obstacle(ob["shape"], tuple(map(float, ob["center"])), tuple(map(float, ob["extents"])))
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"obstacles: {e}") from e
-    rates = d.get("rates", {})
+    rates = _check_fields(d.get("rates", {}), {"imu", "cam", "uwb"}, "rates")
     return ScenarioConfig(
         robots=robots,
         duration=duration,
-        seed=int(d.get("seed", 0)),
-        ego=int(d.get("ego", robots[0][0])),
+        seed=_number(d.get("seed", 0), "seed", integer=True),
+        ego=_number(d.get("ego", robots[0][0] if robots else 0), "ego", integer=True),
         estimator=d.get("estimator", "eskf"),
         pairs=d.get("pairs", "ego"),
         id_mode=d.get("id_mode", "codec"),
-        pgo_rate=float(d.get("pgo_rate", 10.0)),
-        imu_rate=float(rates.get("imu", 100.0)),
-        cam_rate=float(rates.get("cam", 200.0)),
-        uwb_rate=float(rates.get("uwb", 50.0)),
+        pgo_rate=_number(d.get("pgo_rate", 10.0), "pgo_rate"),
+        imu_rate=_number(rates.get("imu", 100.0), "rates.imu"),
+        cam_rate=_number(rates.get("cam", 200.0), "rates.cam"),
+        uwb_rate=_number(rates.get("uwb", 50.0), "rates.uwb"),
         camera=camera,
         noise=noise,
         obstacles=obstacles,

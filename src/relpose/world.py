@@ -6,7 +6,7 @@ seed produce bit-identical sensor streams regardless of robot count or
 query order.
 
 Samples are synthesized as arrays over chunks of about one simulated second
-(`SensorChunk`), and `World.frames` yields a per-tick view onto them. Each
+(`SensorChunk`), and `World.frames` yields the chunks in order. Each
 named stream draws a chunk's noise in one block, in the order per-sample
 synthesis would draw it, so the streams do not depend on the chunking.
 """
@@ -150,29 +150,6 @@ class TruthGrid:
         return _relative_truth(self.states[observer].at(k), self.states[target].at(k))
 
 
-@dataclass(slots=True)
-class Frame:
-    """One master tick: its time and its sample rows in its chunk's arrays (-1: no sample)."""
-
-    t: float
-    chunk: SensorChunk
-    imu: int
-    uwb: int
-    cam: int
-
-    @property
-    def has_imu(self) -> bool:
-        return self.imu >= 0
-
-    @property
-    def has_uwb(self) -> bool:
-        return self.uwb >= 0
-
-    @property
-    def has_cam(self) -> bool:
-        return self.cam >= 0
-
-
 @dataclass
 class SensorChunk:
     """Every sensor sample of a run of master ticks, as arrays.
@@ -197,11 +174,6 @@ class SensorChunk:
     rp: np.ndarray  # (R, n_cam, 2) IMU-derived roll/pitch
     locked: np.ndarray  # (R, n_cam) gimbal-locked: no roll/pitch
 
-    def frames(self) -> list[Frame]:
-        """One view per master tick."""
-        rows = (self.t, self.imu_row, self.uwb_row, self.cam_row)
-        return [Frame(t, self, a, b, c) for t, a, b, c in zip(*(x.tolist() for x in rows))]
-
 
 def stride(fast: float, rate: float) -> int:
     """Ticks of a clock at `fast` Hz per sample at `rate` Hz; ValueError unless a whole number >= 1."""
@@ -216,7 +188,7 @@ class World:
 
     The master clock runs at the fastest configured rate, and every rate
     must divide it. Ground truth is evaluated once over the master tick grid
-    (`truth_grid`); frames and metrics index its rows.
+    (`truth_grid`); chunks and metrics index its rows.
     """
 
     def __init__(
@@ -268,15 +240,15 @@ class World:
         return p[0], R[0]
 
     def frames(self, duration: float):
-        """Yield one Frame per master tick of [0, duration].
+        """Yield the SensorChunks of the master ticks of [0, duration], about one
+        simulated second each, each synthesized when it is asked for.
 
-        The samples of about one simulated second are synthesized together
-        as a SensorChunk, when the first frame of that chunk is asked for.
+        The name is kept because relbench/tracer.py wraps `World.frames` by name.
         """
         grid = self.truth_grid(duration)
         step = max(int(round(self._master_rate)), 1)
         for k0 in range(0, grid.t.size, step):
-            yield from self._chunk(grid, k0, min(k0 + step, grid.t.size)).frames()
+            yield self._chunk(grid, k0, min(k0 + step, grid.t.size))
 
     def _chunk(self, grid: TruthGrid, k0: int, k1: int) -> SensorChunk:
         """The samples of master ticks [k0, k1), every sensor synthesized as arrays."""

@@ -181,19 +181,23 @@ def raw_series_reference(cfg, world) -> dict:
     pairs = _pairs_for(cfg)
     last_uwb: dict = {}
     rows: dict = {pair: [] for pair in pairs}
-    for f in world.frames(cfg.duration):
-        t, ch = f.t, f.chunk
-        if f.has_uwb:
+    # each tick's time, chunk, radio row and camera row (-1: no sample)
+    ticks = (
+        (t, ch, uwb, cam) for ch in world.frames(cfg.duration)
+        for t, uwb, cam in zip(ch.t.tolist(), ch.uwb_row.tolist(), ch.cam_row.tolist())
+    )
+    for t, ch, uwb, cam in ticks:
+        if uwb >= 0:
             for i, rid in enumerate(ids):
                 for j, other in enumerate(ids):
-                    if ch.in_range[i, f.uwb, j]:
-                        last_uwb[(rid, other)] = (t, float(ch.ranges[i, f.uwb, j]))
-        if not f.has_cam:
+                    if ch.in_range[i, uwb, j]:
+                        last_uwb[(rid, other)] = (t, float(ch.ranges[i, uwb, j]))
+        if cam < 0:
             continue
         bearings, rp = {}, {}
         for i, rid in enumerate(ids):
-            seen = [(ids[j], tuple(ch.pixels[i, f.cam, j].tolist()), bool(ch.lit[f.cam, j]))
-                    for j in range(len(ids)) if ch.seen[i, f.cam, j]]
+            seen = [(ids[j], tuple(ch.pixels[i, cam, j].tolist()), bool(ch.lit[cam, j]))
+                    for j in range(len(ids)) if ch.seen[i, cam, j]]
             if cfg.id_mode == "oracle":
                 pixels = [(peer, px) for peer, px, _ in seen]
             else:
@@ -211,7 +215,7 @@ def raw_series_reference(cfg, world) -> dict:
                     bearings[rid][peer] = ds_unproject_scalar(px, cfg.camera)
                 except InvalidPixel:
                     pass
-            rp[rid] = None if ch.locked[i, f.cam] else tuple(ch.rp[i, f.cam].tolist())
+            rp[rid] = None if ch.locked[i, cam] else tuple(ch.rp[i, cam].tolist())
         for obs, tgt in pairs:
             rng = last_uwb.get((obs, tgt))
             if (

@@ -1,9 +1,10 @@
-"""The benchmark's tracer still finds every function it wraps.
+"""The benchmark's tracer still finds every function it wraps, and its configs still load.
 
 `relbench/tracer.py` wraps relpose functions by name from outside the
 package. A refactor that renames one, or stops calling it through its
 module, makes the traced benchmark fail or report zeros; this catches it
-in the unit tests.
+in the unit tests. Likewise a config check that rejects a field of
+`relbench/workloads.py` would fail every benchmark operation.
 """
 
 import sys
@@ -12,11 +13,13 @@ from pathlib import Path
 
 import relpose.world
 from relpose.runner import build_world, run_scenario
-from relpose.scenario import config_from_dict
+from relpose.scenario import config_from_dict, load_config
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "relbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "relbench"))
 
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 
 def team_config():
@@ -60,17 +63,19 @@ def test_tracer_wraps_the_estimator_calls():
 
 def test_frames_spans_cover_synthesis():
     # world.frames.self_s means synthesis: frames() does no work until it is
-    # iterated, and the traced run opens one span per frame it yields
+    # iterated, and the traced run opens one span per chunk it yields
     cfg = team_config()
     world = build_world(cfg)
     before = {key: rng.bit_generator.state for key, rng in world._rng.items()}
-    frames = world.frames(cfg.duration)
+    gen = world.frames(cfg.duration)
     assert world._grid is None
     assert {key: rng.bit_generator.state for key, rng in world._rng.items()} == before
-    next(frames)
+    chunks = [next(gen)]
     assert world._grid is not None
     assert {key: rng.bit_generator.state for key, rng in world._rng.items()} != before
-    n_frames = 1 + sum(1 for _ in frames)
+    chunks += list(gen)
+    # the master ticks of the 1 s run at 100 Hz: [0, 100) and [100]
+    assert [world.truth_grid(cfg.duration).ticks(ch.t).tolist() for ch in chunks] == [list(range(100)), [100]]
 
     t = tracer.Tracer()
     t.install()
@@ -79,5 +84,15 @@ def test_frames_spans_cover_synthesis():
     finally:
         t.uninstall()
     spans = Counter(span[tracer.NAME] for span in t.spans)
-    assert n_frames == 101
-    assert spans["world.frames"] == n_frames
+    assert spans["world.frames"] == len(chunks) == 2
+
+
+def test_benchmark_configs_pass_the_config_check(tmp_path):
+    # a field the check rejects would fail every operation of the benchmark
+    scenarios = sorted((ROOT / "scenarios").glob("*.json"))
+    assert len(scenarios) == 6
+    for path in scenarios:
+        load_config(path)
+    for wl in workloads.WORKLOADS.values():
+        for seed in (0, 1001):
+            assert workloads.setup(wl, seed, tmp_path).seed == seed

@@ -136,8 +136,20 @@ def robot_1(trajectory):
             "trajectory: waypoints span [0, 1] s, not [0, 2] s",
         ),
         ({"duration": 2.005}, "duration: 2.005 s is not a whole number of 100 Hz master ticks"),
+        # without the check, each of these runs something else or stops with a traceback
+        ({"rates": {"imu": 100.0, "camera": 50.0, "uwb": 25.0}}, "rates: unknown fields ['camera']"),
+        ({"estimater": "pgo"}, "config: unknown fields ['estimater']"),
+        ({"seed": 1.5}, "seed: expected an integer, got 1.5"),
+        (
+            {"robots": [{"id": 0, "trajectory": {"kind": "static"}}, {"id": "one", "trajectory": {"kind": "static"}}]},
+            "robots[1].id: expected an integer, got 'one'",
+        ),
+        ({"duration": "ten"}, "duration: expected a finite number, got 'ten'"),
     ],
-    ids=["rates", "seed", "pgo_rate", "short_trajectory", "waypoints", "duration"],
+    ids=[
+        "rates", "seed", "pgo_rate", "short_trajectory", "waypoints", "duration",
+        "unknown_rate", "unknown_field", "fractional_seed", "text_id", "text_duration",
+    ],
 )
 def test_run_config_error_exits_2(tmp_path, capsys, extra, message):
     cfg = write_small_scenario(tmp_path, **extra)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -133,8 +134,8 @@ def test_seed_propagates_to_noise():
     assert cfg.seed == 123
 
     def first_imu(cfg):
-        frame = next(build_world(cfg).frames(cfg.duration))
-        return frame.chunk.imu[0, frame.imu, :3]
+        chunk = next(build_world(cfg).frames(cfg.duration))
+        return chunk.imu[0, chunk.imu_row[0], :3]
 
     same = config_from_dict(minimal_dict(seed=123))
     other = config_from_dict(minimal_dict(seed=124))
@@ -209,6 +210,86 @@ def test_waypoints_must_span_the_trajectory():
             config_from_dict(d)
     d["robots"][1]["trajectory"]["waypoints"] = [[0.0, [3, 0, 1]], [2.0, [4, 0, 1]]]
     assert config_from_dict(d).robots[1][1].kind == "waypoints"
+
+
+def test_unknown_fields_rejected():
+    # a misspelt field is an error, not ignored while its default runs
+    with pytest.raises(ConfigError, match=r"config: unknown fields \['estimater'\]"):
+        config_from_dict(minimal_dict(estimater="pgo"))
+    with pytest.raises(ConfigError, match=r"rates: unknown fields \['camera'\]"):
+        config_from_dict(minimal_dict(rates={"imu": 100.0, "camera": 100.0}))
+    d = minimal_dict()
+    d["robots"][1]["LED"] = 3
+    with pytest.raises(ConfigError, match=r"robots\[1\]: unknown fields \['LED'\]"):
+        config_from_dict(d)
+    obstacle = {"shape": "box", "center": [1, 0, 1], "extents": [0.5, 0.5, 1], "radius": 2}
+    with pytest.raises(ConfigError, match=r"obstacles\[0\]: unknown fields \['radius'\]"):
+        config_from_dict(minimal_dict(obstacles=[obstacle]))
+    with pytest.raises(ConfigError, match=r"noise: unknown fields \['pixel'\]"):
+        config_from_dict(minimal_dict(noise={"pixel": 2.0}))
+
+
+def test_non_integral_ids_rejected():
+    for extra, message in [
+        ({"seed": 1.5}, "seed: expected an integer, got 1.5"),
+        ({"seed": True}, "seed: expected an integer, got True"),
+        ({"ego": 0.5}, "ego: expected an integer, got 0.5"),
+        ({"ego": "0"}, "ego: expected an integer, got '0'"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(minimal_dict(**extra))
+    for field, value in [("id", "one"), ("id", 1.5), ("led", 2.5), ("led", None)]:
+        d = minimal_dict()
+        d["robots"][1][field] = value
+        with pytest.raises(ConfigError, match=re.escape(f"robots[1].{field}: expected an integer, got {value!r}")):
+            config_from_dict(d)
+    cfg = config_from_dict(minimal_dict(seed=7.0, ego=1.0))  # whole floats are integers
+    assert (cfg.seed, cfg.ego) == (7, 1) and type(cfg.seed) is int
+
+
+def test_non_numeric_values_rejected():
+    # each of these is an error at load, not a traceback or a failure late in the run
+    for extra, message in [
+        ({"duration": "ten"}, "duration: expected a finite number, got 'ten'"),
+        ({"duration": float("nan")}, "duration: expected a finite number, got nan"),
+        ({"pgo_rate": "x"}, "pgo_rate: expected a finite number, got 'x'"),
+        ({"rates": {"imu": "fast"}}, "rates.imu: expected a finite number, got 'fast'"),
+        ({"rates": {"cam": float("inf")}}, "rates.cam: expected a finite number, got inf"),
+        ({"noise": {"uwb_sigma": "x"}}, "noise.uwb_sigma: expected a finite number, got 'x'"),
+        ({"camera": {"fx": 285, "fy": 285, "cx": "a", "cy": 320, "xi": 0, "alpha": 0.5}}, "camera.cx: expected"),
+        ({"robots": []}, "robots: at least 2 robots required"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(minimal_dict(**extra))
+    for field, value, message in [
+        ("radius", "big", "trajectory.radius: expected a finite number, got 'big'"),
+        ("center", ["a", 0, 1], "trajectory: could not convert string to float: 'a'"),
+    ]:
+        d = minimal_dict()
+        d["robots"][1]["trajectory"] |= {"kind": "circle", field: value}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(d)
+
+
+def test_misshapen_values_rejected():
+    # each of these is an error at load
+    for extra, message in [
+        ({"robots": 5}, "robots: expected a list, got 5"),
+        ({"obstacles": 5}, "obstacles: expected a list, got 5"),
+        ({"obstacles": [{"shape": "box"}]}, "center: missing from obstacles[0]"),
+        ({"version": True}, "version: expected an integer, got True"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(minimal_dict(**extra))
+    d = minimal_dict()
+    d["robots"][1]["trajectory"] = "static"
+    with pytest.raises(ConfigError, match="trajectory: expected an object, got 'static'"):
+        config_from_dict(d)
+    del d["robots"][1]["trajectory"]
+    with pytest.raises(ConfigError, match=re.escape("trajectory: missing from robots[1]")):
+        config_from_dict(d)
+    with pytest.raises(ConfigError, match="config: expected an object"):
+        config_from_dict([minimal_dict()])
 
 
 def test_load_config_json_errors(tmp_path):

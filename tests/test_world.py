@@ -126,32 +126,31 @@ def test_world_rates_must_divide():
 
 def test_frames_schedule():
     w = two_robot_world(imu_rate=100.0, cam_rate=100.0, uwb_rate=50.0)
-    frames = list(w.frames(0.1))
-    assert len(frames) == 11
-    assert all(f.has_imu for f in frames)
-    assert [f.has_uwb for f in frames] == [k % 2 == 0 for k in range(11)]
+    chunks = list(w.frames(0.1))
+    assert len(chunks) == 1 and chunks[0].t.size == 11
+    assert chunks[0].imu_row.tolist() == list(range(11))
+    assert chunks[0].uwb_row.tolist() == [k // 2 if k % 2 == 0 else -1 for k in range(11)]
 
 
 def test_sensor_streams_deterministic():
     noise = NoiseParams()
     wa, wb = two_robot_world(noise, seed=42), two_robot_world(noise, seed=42)
-    for fa, fb in zip(wa.frames(0.5), wb.frames(0.5)):
-        assert (fa.t, fa.imu, fa.uwb, fa.cam) == (fb.t, fb.imu, fb.uwb, fb.cam)
-        for name in ("imu", "ranges", "in_range", "pixels", "seen", "lit", "rp", "locked"):
-            a, b = getattr(fa.chunk, name), getattr(fb.chunk, name)
+    for ca, cb in zip(wa.frames(0.5), wb.frames(0.5), strict=True):
+        rows = ("t", "imu_row", "uwb_row", "cam_row")
+        for name in rows + ("imu", "ranges", "in_range", "pixels", "seen", "lit", "rp", "locked"):
+            a, b = getattr(ca, name), getattr(cb, name)
             assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
 
 
 def test_detection_carries_led_lit_state():
     w = two_robot_world()
     lit_states = set()
-    for f in w.frames(0.2):
-        if not f.has_cam:
-            continue
-        seen = f.chunk.seen[0, f.cam]
-        assert not seen[0] and seen[1]
-        assert np.isnan(f.chunk.pixels[0, f.cam, 0]).all()
-        lit_states.add(bool(f.chunk.lit[f.cam, 1]))
+    for ch in w.frames(0.2):
+        for c in range(ch.lit.shape[0]):  # every camera row
+            seen = ch.seen[0, c]
+            assert not seen[0] and seen[1]
+            assert np.isnan(ch.pixels[0, c, 0]).all()
+            lit_states.add(bool(ch.lit[c, 1]))
     assert lit_states == {True, False}  # led 1 duty 0.2 toggles within 0.2 s
 
 
@@ -169,9 +168,10 @@ def test_attitude_rp_none_under_gimbal_lock():
         ),
     }
     w = World(robots=robots, noise=QUIET, imu_rate=100, cam_rate=100, uwb_rate=50)
-    f = next(iter(w.frames(0.0)))
-    assert f.chunk.locked[:, f.cam].tolist() == [False, True]
-    assert np.isnan(f.chunk.rp[1, f.cam]).all() and np.isfinite(f.chunk.rp[0, f.cam]).all()
+    ch = next(w.frames(0.0))
+    c = ch.cam_row[0]
+    assert ch.locked[:, c].tolist() == [False, True]
+    assert np.isnan(ch.rp[1, c]).all() and np.isfinite(ch.rp[0, c]).all()
 
 
 def test_relative_truth():

@@ -8,7 +8,7 @@ projection and roll/pitch extraction of one point, and `frames_reference`
 is the per-tick, per-sample loop built on them. It draws from the world's
 own named streams, so a fresh world gives the stream `World.frames` would,
 and it writes each sample into the arrays of a `SensorChunk` of the same
-ticks, so it yields the same per-tick views.
+ticks, so it yields the same chunks.
 """
 
 import numpy as np
@@ -165,7 +165,7 @@ def synth_attitude_rp(true_q, noise: NoiseParams, rng: np.random.Generator) -> t
 
 
 def frames_reference(world, duration: float):
-    """The frames of `world`, synthesized one tick and one sample at a time."""
+    """The chunks of `world`, synthesized one tick and one sample at a time."""
     master = max(world.imu_rate, world.cam_rate, world.uwb_rate)
     every = [int(round(master / rate)) for rate in (world.imu_rate, world.uwb_rate, world.cam_rate)]
     ids = sorted(world.robots)
@@ -223,4 +223,4 @@ def frames_reference(world, duration: float):
                         )
                         if px is not None:
                             chunk.pixels[i, c, j], chunk.seen[i, c, j] = px, True
-        yield from chunk.frames()
+        yield chunk
