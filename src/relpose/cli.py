@@ -22,6 +22,18 @@ from .runner import build_world, export_ground_truth, run_scenario, write_output
 from .scenario import ConfigError, ScenarioConfig, load_config
 
 
+def _at_least(lo: int):
+    """argparse type of an integer >= lo: a count (lo 1) or a seed (lo 0)."""
+
+    def integer(text: str) -> int:
+        n = int(text)  # argparse reports a ValueError as an "invalid integer value"
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {n}")
+        return n
+
+    return integer
+
+
 def _config(args) -> ScenarioConfig:
     """The config file with --seed in place of its seed, validated together."""
     cfg = load_config(args.config)
@@ -79,13 +91,13 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("check-jacobians", help="finite-difference Jacobian verification")
-    p.add_argument("--states", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--states", type=_at_least(1), default=50)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--threshold", type=float, default=1e-4)
     p.set_defaults(fn=_cmd_check_jacobians)
 
     p = sub.add_parser("bench", help="time the estimator hot paths")
-    p.add_argument("--reps", type=int, default=1000)
+    p.add_argument("--reps", type=_at_least(1), default=1000)
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("export-gt", help="write ground-truth CSVs for a scenario")

@@ -16,26 +16,32 @@ Schema (JSON, ``version: 1``) — all fields with defaults may be omitted:
                  "xi":-0.18,"alpha":0.59,"fov_deg":185},
       "noise": {"accel_density":183.3,"gyro_density":0.021,"uwb_sigma":0.05,
                 "pixel_sigma":1.0,"attitude_rp_sigma":0.2},
-      "obstacles": [{"shape":"box","center":[x,y,z],"extents":[ex,ey,ez]}],
+      "obstacles": [{"shape":"box","center":[x,y,z],"extents":[ex,ey,ez]}],  // or "cylinder"
       "robots": [{"id":0,"led":0,"trajectory":{...}}, ...]
     }
 
-Trajectory objects mirror `relpose.trajectory.TrajectorySpec`; the nested
-"attitude" object mirrors `AttitudeProfile` (angles in radians). An unknown
-field, a non-numeric value or a non-integral seed, ego, id or led is a
-`ConfigError`.
+Every object below the top level is read by the types of the dataclass it
+fills (`_read`): trajectories are `relpose.trajectory.TrajectorySpec`, their
+"attitude" `AttitudeProfile` (angles in radians), "camera" `DsIntrinsics`,
+"noise" `NoiseParams` and each obstacle `Obstacle`. A vector is a list of
+exactly three finite numbers. An unknown or missing field, a value that is
+not of its field's type (a non-finite number, text where a number goes, a
+non-integral seed, ego, id or led, null where an object goes) is a
+`ConfigError` that names the field's path, e.g. `trajectory.center[0]`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .camera import DEFAULT_INTRINSICS, DsIntrinsics
 from .codec import IdLibrary
-from .trajectory import AttitudeProfile, TrajectorySpec
+from .trajectory import TrajectorySpec
 from .world import NoiseParams, Obstacle, stride
 
 
@@ -106,112 +112,87 @@ class ScenarioConfig:
                 raise ConfigError(f"robots: robot {rid}'s trajectory ends at {spec.duration:g} s, before the run")
 
 
-def _check_fields(d, known: set, where: str, required: tuple = ()) -> dict:
+def _check_fields(d, known, where: str, required: tuple = ()) -> dict:
     """d itself; ConfigError unless it is an object with the required fields and no unknown one."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected an object, got {d!r}")
     for k in required:
         if k not in d:
             raise ConfigError(f"{k}: missing from {where}")
-    bad = set(d) - known
+    bad = set(d) - set(known)
     if bad:
         raise ConfigError(f"{where}: unknown fields {sorted(bad)}")
     return d
 
 
-def _number(x, name: str, integer: bool = False):
-    """x as a float, or as an int; ConfigError unless it is a finite number, a whole one for an int."""
-    try:
-        ok = isinstance(x, int) or math.isfinite(x) and (not integer or x.is_integer())
-        if ok and not isinstance(x, bool):
-            return int(x) if integer else float(x)
-    except (TypeError, OverflowError):
-        pass
-    raise ConfigError(f"{name}: expected {'an integer' if integer else 'a finite number'}, got {x!r}")
+@functools.cache
+def _schema(cls) -> tuple[dict, tuple]:
+    """The field types of dataclass cls, and the names of its fields without a default."""
+    hints = typing.get_type_hints(cls)
+    required = tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
+    return {f.name: hints[f.name] for f in fields(cls)}, required
 
 
-def _from_numbers(cls, d, where: str):
-    """Dataclass cls built from an object of some of its float fields."""
-    _check_fields(d, {f.name for f in fields(cls)}, where)
-    kwargs = {k: _number(x, f"{where}.{k}") for k, x in d.items()}
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: {e}") from e
+_SCALARS = {str: "a string", int: "an integer", float: "a finite number"}
 
 
-def _attitude_from_dict(d: dict) -> AttitudeProfile:
-    _check_fields(d, {"rpy0", "amp", "freq", "phase", "yaw_rate"}, "trajectory.attitude")
-    kwargs = {}
-    for k in ("rpy0", "amp", "freq", "phase"):
-        if k in d:
-            kwargs[k] = tuple(float(x) for x in d[k])
-    if "yaw_rate" in d:
-        kwargs["yaw_rate"] = float(d["yaw_rate"])
-    return AttitudeProfile(**kwargs)
+def _read(tp, value, where: str):
+    """value read as type tp: a finite float, a whole int, a str, a fixed-length tuple,
+    a list, or a dataclass from an object of its fields; ConfigError naming where otherwise."""
+    if tp in _SCALARS:
+        if tp is str and isinstance(value, str):
+            return value
+        if tp is not str and isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                if isinstance(value, int) or math.isfinite(value) and (tp is float or value.is_integer()):
+                    return tp(value)
+            except OverflowError:  # an integer too large for a float
+                pass
+        raise ConfigError(f"{where}: expected {_SCALARS[tp]}, got {value!r}")
+    if is_dataclass(tp):
+        types, required = _schema(tp)
+        _check_fields(value, types, where, required)
+        kwargs = {k: _read(types[k], x, f"{where}.{k}") for k, x in value.items()}
+        try:
+            return tp(**kwargs)
+        except ValueError as e:
+            raise ConfigError(f"{where}: {e}") from e
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is list and isinstance(value, list):
+        return [_read(args[0], x, f"{where}[{n}]") for n, x in enumerate(value)]
+    if origin is tuple and isinstance(value, list) and len(value) == len(args):
+        return tuple(_read(t, x, f"{where}[{n}]") for n, (t, x) in enumerate(zip(args, value)))
+    size = f" of {len(args)} values" if origin is tuple else ""
+    raise ConfigError(f"{where}: expected a list{size}, got {value!r}")
 
 
-def _trajectory_from_dict(d: dict, duration: float) -> TrajectorySpec:
-    kwargs = dict(_check_fields(d, {f.name for f in fields(TrajectorySpec)}, "trajectory", ("kind",)))
-    att = kwargs.pop("attitude", None)
-    kwargs.setdefault("duration", duration)
-    for k in ("duration", "radius", "omega", "phase"):
-        if k in kwargs:
-            kwargs[k] = _number(kwargs[k], f"trajectory.{k}")
-    try:
-        if "waypoints" in kwargs:
-            kwargs["waypoints"] = [(float(t), tuple(map(float, p))) for t, p in kwargs["waypoints"]]
-        for k in ("center", "amplitude", "freq", "phase3"):
-            if k in kwargs:
-                kwargs[k] = tuple(float(x) for x in kwargs[k])
-        return TrajectorySpec(attitude=_attitude_from_dict(att) if att else AttitudeProfile(), **kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"trajectory: {e}") from e
+# top-level fields read by the type of the ScenarioConfig field of the same name
+_TOP = ("seed", "ego", "estimator", "pairs", "id_mode", "pgo_rate", "camera", "noise", "obstacles")
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    top = {"version", "seed", "duration", "ego", "estimator", "pairs", "id_mode", "pgo_rate", "rates", "robots"}
-    _check_fields(d, top | {"camera", "noise", "obstacles"}, "config", ("version", "robots", "duration"))
-    if _number(d["version"], "version", integer=True) != 1:
+    known = {"version", "duration", "rates", "robots", *_TOP}
+    _check_fields(d, known, "config", ("version", "robots", "duration"))
+    if _read(int, d["version"], "version") != 1:
         raise ConfigError(f"version: expected 1, got {d['version']!r}")
-    for key in ("robots", "obstacles"):
-        if not isinstance(d.get(key, []), list):
-            raise ConfigError(f"{key}: expected a list, got {d[key]!r}")
-    duration = _number(d["duration"], "duration")
+    duration = _read(float, d["duration"], "duration")
+    if not isinstance(d["robots"], list):
+        raise ConfigError(f"robots: expected a list, got {d['robots']!r}")
     robots = []
     for n, r in enumerate(d["robots"]):
         _check_fields(r, {"id", "led", "trajectory"}, f"robots[{n}]", ("id", "trajectory"))
-        rid = _number(r["id"], f"robots[{n}].id", integer=True)
-        led = _number(r.get("led", rid), f"robots[{n}].led", integer=True)
-        robots.append((rid, _trajectory_from_dict(r["trajectory"], duration), led))
-    noise = _from_numbers(NoiseParams, d.get("noise", {}), "noise")
-    camera = _from_numbers(DsIntrinsics, d["camera"], "camera") if "camera" in d else DEFAULT_INTRINSICS
-    obstacles = []
-    for n, ob in enumerate(d.get("obstacles", [])):
-        _check_fields(ob, {"shape", "center", "extents"}, f"obstacles[{n}]", ("shape", "center", "extents"))
-        try:
-            obstacles.append(
-                Obstacle(ob["shape"], tuple(map(float, ob["center"])), tuple(map(float, ob["extents"])))
-            )
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"obstacles: {e}") from e
-    rates = _check_fields(d.get("rates", {}), {"imu", "cam", "uwb"}, "rates")
-    return ScenarioConfig(
-        robots=robots,
-        duration=duration,
-        seed=_number(d.get("seed", 0), "seed", integer=True),
-        ego=_number(d.get("ego", robots[0][0] if robots else 0), "ego", integer=True),
-        estimator=d.get("estimator", "eskf"),
-        pairs=d.get("pairs", "ego"),
-        id_mode=d.get("id_mode", "codec"),
-        pgo_rate=_number(d.get("pgo_rate", 10.0), "pgo_rate"),
-        imu_rate=_number(rates.get("imu", 100.0), "rates.imu"),
-        cam_rate=_number(rates.get("cam", 200.0), "rates.cam"),
-        uwb_rate=_number(rates.get("uwb", 50.0), "rates.uwb"),
-        camera=camera,
-        noise=noise,
-        obstacles=obstacles,
-    )
+        rid = _read(int, r["id"], f"robots[{n}].id")
+        led = _read(int, r.get("led", rid), f"robots[{n}].led")
+        traj = r["trajectory"]
+        if isinstance(traj, dict):  # a trajectory's duration defaults to the run's
+            traj = {"duration": duration, **traj}
+        robots.append((rid, _read(TrajectorySpec, traj, "trajectory"), led))
+    types = _schema(ScenarioConfig)[0]
+    kwargs = {k: _read(types[k], d[k], k) for k in _TOP if k in d}
+    kwargs.setdefault("ego", robots[0][0] if robots else 0)
+    rates = _check_fields(d.get("rates", {}), ("imu", "cam", "uwb"), "rates")
+    kwargs.update({f"{k}_rate": _read(float, x, f"rates.{k}") for k, x in rates.items()})
+    return ScenarioConfig(robots=robots, duration=duration, **kwargs)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

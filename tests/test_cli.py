@@ -145,10 +145,28 @@ def robot_1(trajectory):
             "robots[1].id: expected an integer, got 'one'",
         ),
         ({"duration": "ten"}, "duration: expected a finite number, got 'ten'"),
+        (robot_1({"kind": "static", "center": "123"}), "trajectory.center: expected a list of 3 values, got '123'"),
+        (
+            robot_1({"kind": "static", "center": [4, float("nan"), 1]}),
+            "trajectory.center[1]: expected a finite number, got nan",
+        ),
+        (
+            robot_1({"kind": "static", "attitude": {"yaw_rate": "0.1"}}),
+            "trajectory.attitude.yaw_rate: expected a finite number, got '0.1'",
+        ),
+        (
+            robot_1({"kind": "static", "center": [4.0, 1.0]}),
+            "trajectory.center: expected a list of 3 values, got [4.0, 1.0]",
+        ),
+        (
+            {"obstacles": [{"shape": "box", "center": [3, 0], "extents": [1, 1, 1]}]},
+            "obstacles[0].center: expected a list of 3 values, got [3, 0]",
+        ),
     ],
     ids=[
         "rates", "seed", "pgo_rate", "short_trajectory", "waypoints", "duration",
         "unknown_rate", "unknown_field", "fractional_seed", "text_id", "text_duration",
+        "text_center", "nan_center", "text_yaw_rate", "short_center", "short_obstacle_center",
     ],
 )
 def test_run_config_error_exits_2(tmp_path, capsys, extra, message):
@@ -175,6 +193,27 @@ def test_check_jacobians_subcommand(capsys):
     for name in ("Fx", "Fi", "H", "G"):
         assert name in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # each of these passed without checking anything, or stopped with a traceback
+        (["check-jacobians", "--states", "0"], "argument --states: expected an integer >= 1, got 0"),
+        (["check-jacobians", "--states", "-3"], "argument --states: expected an integer >= 1, got -3"),
+        (["check-jacobians", "--seed", "-1"], "argument --seed: expected an integer >= 0, got -1"),
+        (["bench", "--reps", "0"], "argument --reps: expected an integer >= 1, got 0"),
+        (["bench", "--reps", "-5"], "argument --reps: expected an integer >= 1, got -5"),
+    ],
+    ids=["zero_states", "negative_states", "negative_seed", "zero_reps", "negative_reps"],
+)
+def test_counts_and_seeds_out_of_range_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert message in err
+    assert out == ""  # no Jacobian reported as checked, no timing
 
 
 def test_bench_subcommand(capsys):

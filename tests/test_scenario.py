@@ -4,8 +4,11 @@ import re
 import numpy as np
 import pytest
 
+from relpose.camera import DsIntrinsics
 from relpose.runner import build_world
-from relpose.scenario import ConfigError, config_from_dict, load_config
+from relpose.scenario import ConfigError, ScenarioConfig, config_from_dict, load_config
+from relpose.trajectory import AttitudeProfile, TrajectorySpec
+from relpose.world import NoiseParams, Obstacle
 
 
 def minimal_dict(**extra):
@@ -261,9 +264,26 @@ def test_non_numeric_values_rejected():
     ]:
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict(minimal_dict(**extra))
+    nan, inf = float("nan"), float("inf")
     for field, value, message in [
         ("radius", "big", "trajectory.radius: expected a finite number, got 'big'"),
-        ("center", ["a", 0, 1], "trajectory: could not convert string to float: 'a'"),
+        ("center", ["a", 0, 1], "trajectory.center[0]: expected a finite number, got 'a'"),
+        # each of these ran something else without an error
+        ("center", "123", "trajectory.center: expected a list of 3 values, got '123'"),
+        ("center", ["0", "0", "1"], "trajectory.center[0]: expected a finite number, got '0'"),
+        ("center", [True, 0, 1], "trajectory.center[0]: expected a finite number, got True"),
+        ("center", [0, nan, 1], "trajectory.center[1]: expected a finite number, got nan"),
+        ("amplitude", [1.0, inf, 0.0], "trajectory.amplitude[1]: expected a finite number, got inf"),
+        ("attitude", {"yaw_rate": "0.1"}, "trajectory.attitude.yaw_rate: expected a finite number, got '0.1'"),
+        ("attitude", None, "trajectory.attitude: expected an object, got None"),
+        (
+            "waypoints",
+            [[0.0, [0, 0, "1"]], [5.0, [1, 0, 1]]],
+            "trajectory.waypoints[0][1][2]: expected a finite number, got '1'",
+        ),
+        # each of these stopped with a traceback
+        ("center", [0.0, 1.0], "trajectory.center: expected a list of 3 values, got [0.0, 1.0]"),
+        ("attitude", {"rpy0": [0.0, 0.1]}, "trajectory.attitude.rpy0: expected a list of 3 values, got [0.0, 0.1]"),
     ]:
         d = minimal_dict()
         d["robots"][1]["trajectory"] |= {"kind": "circle", field: value}
@@ -278,6 +298,15 @@ def test_misshapen_values_rejected():
         ({"obstacles": 5}, "obstacles: expected a list, got 5"),
         ({"obstacles": [{"shape": "box"}]}, "center: missing from obstacles[0]"),
         ({"version": True}, "version: expected an integer, got True"),
+        # a NaN ran, and a short vector stopped with a traceback
+        (
+            {"obstacles": [{"shape": "box", "center": [float("nan"), 0, 1], "extents": [0.5, 0.5, 1]}]},
+            "obstacles[0].center[0]: expected a finite number, got nan",
+        ),
+        (
+            {"obstacles": [{"shape": "box", "center": [3, 0], "extents": [0.5, 0.5, 1]}]},
+            "obstacles[0].center: expected a list of 3 values, got [3, 0]",
+        ),
     ]:
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict(minimal_dict(**extra))
@@ -290,6 +319,95 @@ def test_misshapen_values_rejected():
         config_from_dict(d)
     with pytest.raises(ConfigError, match="config: expected an object"):
         config_from_dict([minimal_dict()])
+
+
+def test_every_schema_field_is_read():
+    # each field set away from its default; integers where floats go must load as floats
+    attitude = {"rpy0": [0.1, -0.1, 1], "amp": [0.05, 0.04, 0], "freq": [0.3, 0.2, 0.1], "phase": [1, 2, 3]}
+    d = {
+        "version": 1,
+        "seed": 11,
+        "duration": 3,
+        "ego": 2,
+        "estimator": "pgo",
+        "pairs": "all",
+        "id_mode": "oracle",
+        "pgo_rate": 20,
+        "rates": {"imu": 400, "cam": 200, "uwb": 100},
+        "camera": {"fx": 300, "fy": 310, "cx": 330, "cy": 315, "xi": -0.1, "alpha": 0.6, "fov_deg": 180},
+        "noise": {"accel_density": 100, "gyro_density": 0.03, "uwb_sigma": 0.1, "pixel_sigma": 2,
+                  "attitude_rp_sigma": 0.5},
+        "obstacles": [
+            {"shape": "box", "center": [4, 0, 1], "extents": [0.3, 0.2, 2]},
+            {"shape": "cylinder", "center": [2, 2, 0], "extents": [0.5, 0.5, 1.5]},
+        ],
+        "robots": [
+            {"id": 2, "led": 5, "trajectory": {"kind": "static", "center": [0, 0, 1], "attitude": attitude}},
+            {
+                "id": 4,
+                "trajectory": {
+                    "kind": "circle", "duration": 4, "center": [8, 0, 1], "radius": 1.5, "omega": -0.7,
+                    "phase": 1, "attitude": {"yaw_rate": 0.2},
+                },
+            },
+            {
+                "id": 1,
+                "led": 7,
+                "trajectory": {
+                    "kind": "lissajous", "center": [0, 6, 1], "amplitude": [1, 2, 0.5], "freq": [0.2, 0.1, 0.3],
+                    "phase3": [0, 1, 2], "attitude": {"amp": [0.1, 0.1, 0], "freq": [0.5, 0.5, 0]},
+                },
+            },
+            {
+                "id": 0,
+                "led": 3,
+                "trajectory": {
+                    "kind": "waypoints", "waypoints": [[0, [1, 1, 1]], [1.5, [2, 1, 1]], [3, [2, 2, 1]]],
+                    "attitude": {"phase": [0.5, 0, 0], "freq": [1, 0, 0], "amp": [0.2, 0, 0]},
+                },
+            },
+        ],
+    }
+    expected = ScenarioConfig(
+        robots=[
+            (2, TrajectorySpec("static", 3.0, center=(0.0, 0.0, 1.0), attitude=AttitudeProfile(
+                rpy0=(0.1, -0.1, 1.0), amp=(0.05, 0.04, 0.0), freq=(0.3, 0.2, 0.1), phase=(1.0, 2.0, 3.0),
+            )), 5),
+            (4, TrajectorySpec(
+                "circle", 4.0, center=(8.0, 0.0, 1.0), radius=1.5, omega=-0.7, phase=1.0,
+                attitude=AttitudeProfile(yaw_rate=0.2),
+            ), 4),
+            (1, TrajectorySpec(
+                "lissajous", 3.0, center=(0.0, 6.0, 1.0), amplitude=(1.0, 2.0, 0.5), freq=(0.2, 0.1, 0.3),
+                phase3=(0.0, 1.0, 2.0), attitude=AttitudeProfile(amp=(0.1, 0.1, 0.0), freq=(0.5, 0.5, 0.0)),
+            ), 7),
+            (0, TrajectorySpec(
+                "waypoints", 3.0, waypoints=[(0.0, (1.0, 1.0, 1.0)), (1.5, (2.0, 1.0, 1.0)), (3.0, (2.0, 2.0, 1.0))],
+                attitude=AttitudeProfile(phase=(0.5, 0.0, 0.0), freq=(1.0, 0.0, 0.0), amp=(0.2, 0.0, 0.0)),
+            ), 3),
+        ],
+        duration=3.0,
+        seed=11,
+        ego=2,
+        estimator="pgo",
+        pairs="all",
+        id_mode="oracle",
+        pgo_rate=20.0,
+        imu_rate=400.0,
+        cam_rate=200.0,
+        uwb_rate=100.0,
+        camera=DsIntrinsics(fx=300.0, fy=310.0, cx=330.0, cy=315.0, xi=-0.1, alpha=0.6, fov_deg=180.0),
+        noise=NoiseParams(
+            accel_density=100.0, gyro_density=0.03, uwb_sigma=0.1, pixel_sigma=2.0, attitude_rp_sigma=0.5
+        ),
+        obstacles=[
+            Obstacle("box", (4.0, 0.0, 1.0), (0.3, 0.2, 2.0)),
+            Obstacle("cylinder", (2.0, 2.0, 0.0), (0.5, 0.5, 1.5)),
+        ],
+    )
+    cfg = config_from_dict(d)
+    assert cfg == expected
+    assert repr(cfg) == repr(expected)  # tells 1 from 1.0 and a list from a tuple
 
 
 def test_load_config_json_errors(tmp_path):
