@@ -17,4 +17,4 @@ __version__ = "0.1.0"
 
 from .geom import Pose  # noqa: F401
 from .rawpose import RawPoseMeasurement, raw_estimate  # noqa: F401
-from .eskf import RelativePoseFilter  # noqa: F401
+from .eskf import FilterBank  # noqa: F401

@@ -95,7 +95,9 @@ def _random_state_input(rng: np.random.Generator) -> tuple[NominalState, ImuPair
 
 
 def check_jacobians(n_states: int = 50, seed: int = 0) -> dict[str, float]:
-    """Max relative FD error per Jacobian over random states."""
+    """Max relative FD error per Jacobian over n_states random states (at least one)."""
+    if n_states < 1:
+        raise ValueError(f"n_states must be at least 1, got {n_states}")
     rng = np.random.default_rng(seed)
     worst = {"Fx": 0.0, "Fi": 0.0, "H": 0.0, "G": 0.0}
     for _ in range(n_states):

@@ -19,7 +19,7 @@ from pathlib import Path
 from .bench import bench
 from .checks import check_jacobians
 from .runner import build_world, export_ground_truth, run_scenario, write_outputs
-from .scenario import ConfigError, ScenarioConfig, load_config
+from .scenario import ConfigError, ScenarioConfig, config_from_dict, read_config
 
 
 def _at_least(lo: int):
@@ -34,16 +34,18 @@ def _at_least(lo: int):
     return integer
 
 
-def _config(args) -> ScenarioConfig:
-    """The config file with --seed in place of its seed, validated together."""
-    cfg = load_config(args.config)
-    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+def _config(args) -> tuple[ScenarioConfig, dict]:
+    """The config file, read once: the config with --seed in place of its seed,
+    validated together, and the file's JSON object."""
+    d = read_config(args.config)
+    cfg = config_from_dict(d)
+    return (cfg if args.seed is None else replace(cfg, seed=args.seed)), d
 
 
 def _cmd_run(args) -> int:
-    result = run_scenario(_config(args))
+    cfg, config_dict = _config(args)
+    result = run_scenario(cfg)
     out = Path(args.out) if args.out else Path("out")
-    config_dict = json.loads(Path(args.config).read_text())
     write_outputs(result, out, config_dict)
     print(json.dumps(result.metrics, indent=2, sort_keys=True))
     if args.strict and result.pgo_converged and not all(result.pgo_converged):
@@ -71,7 +73,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_export_gt(args) -> int:
-    cfg = _config(args)
+    cfg, _ = _config(args)
     out = Path(args.out) if args.out else Path("out")
     out.mkdir(parents=True, exist_ok=True)
     export_ground_truth(build_world(cfg), cfg.duration, out)

@@ -1,4 +1,4 @@
-"""Error-state Kalman filter in the observer's moving body frame.
+"""Error-state Kalman filter in the observer's moving body frame, one bank of pairs.
 
 State of robot A expressed in observer B's (rotating, accelerating) body
 frame: position p, velocity v, orientation quaternion q. The 12-dim error
@@ -13,7 +13,14 @@ Prediction consumes both robots' IMU samples; correction consumes a raw
 relative-pose measurement (positions both ways + relative quaternion). The
 orientation part of the measurement enters as a rotation-vector residual of
 q_nominal^-1 ⊗ q_measured (the quaternion itself has no additive noise on
-the manifold).
+the manifold). Structure after Solà, "Quaternion kinematics for the
+error-state Kalman filter" (arXiv:1711.02508).
+
+A `FilterBank` holds every pair filter of a run; a single pair is a bank of
+one. `predict`, `update` and `inject_and_reset` step the whole bank: each
+pair's nominal state stays in Python floats, and the 12x12 algebra of the
+pairs taking part runs once, over one (K, 12, 12) stack. Each pair's result
+does not depend on the other pairs of its bank, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,12 +53,10 @@ ROT_SIGMA = np.deg2rad(1.5)
 _ROT_VAR = ROT_SIGMA**2
 
 
-class SingularInnovation(np.linalg.LinAlgError):
-    """HPH' + V not invertible."""
-
-
 @dataclass
 class NominalState:
+    """One pair's nominal state as arrays, for the Jacobian checks."""
+
     p: np.ndarray
     v: np.ndarray
     q: np.ndarray
@@ -59,15 +64,8 @@ class NominalState:
 
 
 @dataclass
-class ErrorBelief:
-    delta_mean: np.ndarray  # 12-vector, zero outside the update->reset window
-    P: np.ndarray  # 12x12
-
-
-@dataclass
 class ImuPairInput:
-    """Both robots' IMU samples over one step, as 3-sequences of floats
-    (lists or tuples are fastest; arrays give the same result)."""
+    """Both robots' IMU samples over one step, for the Jacobian checks."""
 
     a_ma: Sequence[float]  # A's specific force, body frame, m/s^2
     w_ma: Sequence[float]  # A's angular rate, rad/s
@@ -80,18 +78,13 @@ class ImuPairInput:
             raise ValueError("dt must be positive")
 
 
-def init_from_raw(z: RawPoseMeasurement) -> tuple[NominalState, ErrorBelief]:
-    state = NominalState(p=z.p_ba.copy(), v=np.zeros(3), q=z.q_ba.copy(), t=z.t)
-    return state, ErrorBelief(np.zeros(12), INIT_P.copy())
-
-
 # -- float-level kernel ------------------------------------------------------
 # One filter step needs a few quaternion products and exponentials, the
 # rotation matrices they give and a few 3x3 products. On Python floats each
 # is a handful of multiplications, where every numpy call on a 3-vector
-# costs about a microsecond. Quaternions are (w, x, y, z) tuples and 3x3
-# matrices row-major 9-tuples; the 12x12 algebra stays in numpy, through
-# `ndarray.dot`, which costs less per call than `@` at these sizes.
+# costs about a microsecond. Quaternions are (w, x, y, z) tuples, 3x3
+# matrices row-major 9-tuples, and a pair's nominal state x the 10 floats
+# (p, v, q); the 12x12 algebra runs in numpy, once per step for the bank.
 
 
 def _qexp(x: float, y: float, z: float) -> tuple:
@@ -105,31 +98,22 @@ def _qexp(x: float, y: float, z: float) -> tuple:
     return (math.cos(0.5 * a), s * x, s * y, s * z)
 
 
-def _qmul(a, b) -> tuple:
-    """Hamilton product a ⊗ b, not renormalized."""
-    aw, ax, ay, az = a
+def _qsandwich(b, q, a) -> tuple:
+    """b^* ⊗ q ⊗ a, renormalized."""
     bw, bx, by, bz = b
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    )
-
-
-def _qunit(q) -> tuple:
-    w, x, y, z = q
+    qw, qx, qy, qz = q
+    bx, by, bz = -bx, -by, -bz
+    rw = bw * qw - bx * qx - by * qy - bz * qz
+    rx = bw * qx + bx * qw + by * qz - bz * qy
+    ry = bw * qy - bx * qz + by * qw + bz * qx
+    rz = bw * qz + bx * qy - by * qx + bz * qw
+    aw, ax, ay, az = a
+    w = rw * aw - rx * ax - ry * ay - rz * az
+    x = rw * ax + rx * aw + ry * az - rz * ay
+    y = rw * ay - rx * az + ry * aw + rz * ax
+    z = rw * az + rx * ay - ry * ax + rz * aw
     n = math.sqrt(w * w + x * x + y * y + z * z)
     return (w / n, x / n, y / n, z / n)
-
-
-def _qconj(q) -> tuple:
-    return (q[0], -q[1], -q[2], -q[3])
-
-
-def _qsandwich(dq_b, q, dq_a) -> np.ndarray:
-    """dq_b^* ⊗ q ⊗ dq_a, renormalized, as an array."""
-    return np.array(_qunit(_qmul(_qmul(_qconj(dq_b), q), dq_a)))
 
 
 def _qlog(q) -> tuple:
@@ -188,74 +172,111 @@ def _mat_skew(A, v) -> tuple:
     )
 
 
-def _skew(v) -> tuple:
-    x, y, z = v
-    return (0.0, -z, y, z, 0.0, -x, -y, x, 0.0)
-
-
-def _eye_minus_half_skew(x: float, y: float, z: float) -> tuple:
-    """I - [(x, y, z) / 2]x."""
-    x, y, z = 0.5 * x, 0.5 * y, 0.5 * z
-    return (1.0, z, -y, -z, 1.0, x, y, -x, 1.0)
-
-
 def _scaled(A, s: float) -> tuple:
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = A
     return (a0 * s, a1 * s, a2 * s, a3 * s, a4 * s, a5 * s, a6 * s, a7 * s, a8 * s)
 
 
-def _blocks(rows: int, cols: int, at):
-    """A function of one flat tuple of floats that returns a rows x cols matrix,
-    zero but for its 3x3 blocks at (block row, block column), which it takes
-    from the tuple block by block and row-major inside each.
+def _blocks(rows: int, cols: int, at, tail: int = 0, tail_at=()):
+    """A function of (values, m) that returns the transposes of a stack of m
+    rows x cols matrices, zero but for their 3x3 blocks at (block row, block
+    column), and with `tail`, an (m, tail) array, zero but at the positions
+    tail_at. Per matrix, `values` lists its blocks block by block, row-major
+    inside each, then its tail values in the order of tail_at.
 
-    The floats go through one packed buffer: converting them one by one into
-    an array costs about twice as much.
+    The floats go through one packed buffer and one scatter: converting them
+    one by one into an array costs about twice as much. The stack comes
+    transposed because `matmul` takes a transposed view as its first operand
+    at no cost, but copies it as its second: M P M' is (M')' P M'.
     """
-    index = np.array([(3 * r + i) * cols + 3 * c + j for r, c in at for i in range(3) for j in range(3)])
-    pack = struct.Struct(f"{index.size}d").pack
+    size = rows * cols
+    index = [(3 * c + j) * rows + 3 * r + i for r, c in at for i in range(3) for j in range(3)]
+    index = np.array(index + [size + k for k in tail_at])
+    width = size + tail
 
-    def matrix(values) -> np.ndarray:
-        M = np.zeros(rows * cols)
-        M[index] = np.frombuffer(pack(*values))
-        return M.reshape(rows, cols)
+    @functools.lru_cache(maxsize=64)
+    def layout(m: int) -> tuple:
+        return (index + width * np.arange(m)[:, None]).ravel(), struct.Struct(f"{m * index.size}d").pack
 
-    return matrix
+    def stack(values, m: int):
+        spread, pack = layout(m)
+        flat = np.zeros(m * width)
+        flat[spread] = np.frombuffer(pack(*values))
+        if not tail:
+            return flat.reshape(m, cols, rows)
+        flat = flat.reshape(m, width)
+        return flat[:, :size].reshape(m, cols, rows), flat[:, size:]
+
+    return stack
+
+
+class FilterBank:
+    """The relative-pose filters of a run, one per pair (A, B): pair n's
+    nominal state x[n] (p, v, q as 10 floats; None until its first
+    measurement) and its error covariance P[n]. The error mean is zero
+    outside the update->reset window, so the bank keeps none."""
+
+    def __init__(self, pairs):
+        """pairs: per filter, the indices of target A's and observer B's IMU rows."""
+        self.pairs = [(int(a), int(b)) for a, b in pairs]
+        self.x: list[tuple | None] = [None] * len(self.pairs)
+        self.P = np.zeros((len(self.pairs), 12, 12))
+        self._every = list(range(len(self.pairs)))
+
+    def _take(self, rows: list) -> np.ndarray:
+        """P of the pairs in rows (ascending): the stack itself when every pair is in."""
+        return self.P if rows == self._every else self.P[rows]
+
+    def _put(self, rows: list, P: np.ndarray) -> None:
+        if rows == self._every:
+            self.P = P
+        else:
+            self.P[rows] = P
+
+
+def _row(a: Sequence[float], w: Sequence[float]) -> list:
+    """One robot's IMU row: specific force, then angular rate, as 6 floats."""
+    return [*map(float, a), *map(float, w)]
+
+
+def _floats(state: NominalState) -> tuple:
+    return (*state.p.tolist(), *state.v.tolist(), *state.q.tolist())
 
 
 # -- propagation --------------------------------------------------------------
 
-# Fx and Fi from their blocks, in the order `_linearize` and `compute_Fi` list them
+# Fx and Fi from their blocks, in the order `_propagate` and `compute_Fi` list them
 _Fx = _blocks(12, 12, [(0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 2), (3, 3)])
 _Fi = _blocks(12, 12, [(1, 0), (2, 1), (1, 2), (3, 3)])
 
 
-def _linearize(q: list, u: ImuPairInput) -> tuple:
-    """The rotations of one IMU step from the nominal quaternion q, and the
-    error-state transition built from them.
+def _propagate(x: tuple, ra, rb, dt: float) -> tuple[tuple, tuple]:
+    """One IMU step of one pair: the new nominal state, and the blocks of the
+    error-state transition Fx (Solà, sections 5 and 7) that `_Fx` assembles.
 
-    Returns (dq_a, dq_b, Rq, Rb_T, Fx) with dq_a = Exp(w_mA dt),
-    dq_b = Exp(w_mB dt), Rq = R{q} and Rb_T = R{dq_b}^T as tuples, and the
-    12x12 error-state transition Fx. Block structure after Solà, "Quaternion
-    kinematics for the error-state Kalman filter" (arXiv:1711.02508),
-    sections 5 and 7.
+    ra and rb are A's and B's IMU rows; dq_a = Exp(w_mA dt), dq_b = Exp(w_mB dt),
+    Rq = R{q} and Rb_T = R{dq_b}^T.
     """
-    dt = u.dt
-    wx, wy, wz = u.w_ma
+    ax, ay, az, wx, wy, wz = ra
     dq_a = _qexp(wx * dt, wy * dt, wz * dt)
-    wx, wy, wz = u.w_mb
+    bx, by, bz, wx, wy, wz = rb
     dq_b = _qexp(wx * dt, wy * dt, wz * dt)
+    px, py, pz, vx, vy, vz, *q = x
     Rq = _rot(q)
-    Rb_T = _rot(dq_b, transpose=True)
+    Rb_T = _rot(dq_b, True)
     Rb_T_dt = _scaled(Rb_T, dt)
-    ax, ay, az = u.a_ma
-    Fx = _Fx(
-        Rb_T + Rb_T_dt  # dp row
-        + Rb_T + _mat_skew(_mat(Rb_T_dt, Rq), (-ax, -ay, -az)) + _mat_skew(Rb_T_dt, u.a_mb)  # dv row
-        + _rot(dq_a, transpose=True)  # dth_A
-        + Rb_T  # dth_B
+    fx = (
+        *Rb_T, *Rb_T_dt,  # dp row
+        *Rb_T, *_mat_skew(_mat(Rb_T_dt, Rq), (-ax, -ay, -az)), *_mat_skew(Rb_T_dt, (bx, by, bz)),  # dv row
+        *_rot(dq_a, True),  # dth_A
+        *Rb_T,  # dth_B
     )
-    return dq_a, dq_b, Rq, Rb_T, Fx
+    cx, cy, cz = _vec(Rq, (ax, ay, az))
+    cx, cy, cz = cx - bx, cy - by, cz - bz  # relative acceleration
+    h = 0.5 * dt * dt
+    p = _vec(Rb_T, (px + vx * dt + cx * h, py + vy * dt + cy * h, pz + vz * dt + cz * h))
+    v = _vec(Rb_T, (vx + cx * dt, vy + cy * dt, vz + cz * dt))
+    return (*p, *v, *_qsandwich(dq_b, q, dq_a)), fx
 
 
 @functools.lru_cache(maxsize=16)
@@ -270,32 +291,32 @@ def _input_noise(dt: float) -> np.ndarray:
     return D
 
 
-def predict(
-    state: NominalState, belief: ErrorBelief, u: ImuPairInput
-) -> tuple[NominalState, ErrorBelief]:
-    """Propagate nominal state and error covariance over one IMU interval."""
-    dt = u.dt
-    q = state.q.tolist()
-    dq_a, dq_b, Rq, Rb_T, Fx = _linearize(q, u)
-    ax, ay, az = _vec(Rq, u.a_ma)
-    bx, by, bz = u.a_mb
-    ax, ay, az = ax - bx, ay - by, az - bz  # relative acceleration
-    px, py, pz = state.p.tolist()
-    vx, vy, vz = state.v.tolist()
-    h = 0.5 * dt * dt
-    p = _vec(Rb_T, (px + vx * dt + ax * h, py + vy * dt + ay * h, pz + vz * dt + az * h))
-    v = _vec(Rb_T, (vx + ax * dt, vy + ay * dt, vz + az * dt))
-    P = Fx.dot(belief.P).dot(Fx.T)
-    P += _input_noise(dt)  # Fx P Fx' + Fi QI Fi'
-    return (
-        NominalState(np.array(p), np.array(v), _qsandwich(dq_b, q, dq_a), state.t + dt),
-        ErrorBelief(Fx.dot(belief.delta_mean), 0.5 * (P + P.T)),  # delta is zero in steady operation
-    )
+def predict(bank: FilterBank, rows: Sequence, dt: float) -> None:
+    """Propagate every started pair whose two IMU rows are finite over one IMU
+    interval: P <- Fx P Fx' + Fi QI Fi'. rows holds each robot's IMU row at
+    this tick (6 floats), or None where it is not finite.
+
+    P is not symmetrized here: `inject_and_reset` does it once per correction.
+    """
+    x, on, fx = bank.x, [], []
+    for n, (a, b) in enumerate(bank.pairs):
+        ra, rb = rows[a], rows[b]
+        if x[n] is None or ra is None or rb is None:
+            continue
+        x[n], f = _propagate(x[n], ra, rb, dt)
+        fx += f
+        on.append(n)
+    if on:
+        Fx_T = _Fx(fx, len(on))
+        P = Fx_T.swapaxes(1, 2) @ bank._take(on) @ Fx_T
+        P += _input_noise(dt)
+        bank._put(on, P)
 
 
 def compute_Fx(state: NominalState, u: ImuPairInput) -> np.ndarray:
     """Discrete error-state transition Jacobian, as `predict` propagates with."""
-    return _linearize(state.q.tolist(), u)[4]
+    f = _propagate(_floats(state), _row(u.a_ma, u.w_ma), _row(u.a_mb, u.w_mb), u.dt)[1]
+    return _Fx(f, 1)[0].T
 
 
 def compute_Fi(state: NominalState, u: ImuPairInput) -> np.ndarray:
@@ -309,82 +330,120 @@ def compute_Fi(state: NominalState, u: ImuPairInput) -> np.ndarray:
         _scaled(_mat(Rb_T_dt, _rot(state.q.tolist())), -1.0)  # accel noise of A
         + m_dt  # gyro noise of A
         + Rb_T_dt  # accel noise of B
-        + m_dt  # gyro noise of B
-    )
+        + m_dt,  # gyro noise of B
+        1,
+    )[0].T
 
 
 # -- correction ---------------------------------------------------------------
 
-_H = _blocks(9, 12, [(0, 0), (0, 3), (1, 0), (1, 2), (2, 2), (2, 3)])
+# H, then [y | HP] (9 x 13) with HP left for `update` to fill, then the diagonal 9 x 9 V
+_H = _blocks(
+    9, 12, [(0, 0), (0, 3), (1, 0), (1, 2), (2, 2), (2, 3)], 198, [*range(0, 117, 13), *range(117, 198, 10)]
+)
 _I3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+_Q1 = (1.0, 0.0, 0.0, 0.0)
+_ORIGIN = (0.0,) * 6 + _Q1  # p = v = 0, q = 1: a state, or a measurement, that a Jacobian does not read
 
 
-def _measurement_jacobian(p, Rq_T, Rq_T_p) -> np.ndarray:
-    neg_Rq_T = _scaled(Rq_T, -1.0)
-    return _H(
+def _measure(x: tuple, z: Sequence[float]) -> tuple:
+    """The blocks of H at delta = 0, the innovation y = z ⊖ h(x) and V's
+    diagonal, of one pair's measurement z (p_ba, p_ab, q_ba as 10 floats)."""
+    p0, p1, p2, _, _, _, *q = x
+    Rq_T = _rot(q, True)
+    c0, c1, c2 = _vec(Rq_T, (p0, p1, p2))  # R{q}^T p
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = Rq_T
+    b0, b1, b2, a0, a1, a2, *q_ba = z
+    sp2 = max(0.05, 0.02 * math.sqrt(b0 * b0 + b1 * b1 + b2 * b2)) ** 2
+    return (
         # p_BA: p_t = R{dth_B}^T (p + dp) ~ p + dp + [p]x dth_B
-        _I3 + _skew(p)
+        *_I3, 0.0, -p2, p1, p2, 0.0, -p0, -p1, p0, 0.0,
         # p_AB: -R{q_t}^T p_t ~ -R^T p - R^T dp - [R^T p]x dth_A
-        + neg_Rq_T + _skew([-c for c in Rq_T_p])
+        -r0, -r1, -r2, -r3, -r4, -r5, -r6, -r7, -r8, 0.0, c2, -c1, -c2, 0.0, c0, c1, -c0, 0.0,
         # rotation residual rotvec(q^-1 ⊗ q_t) ~ dth_A - R^T dth_B
-        + _I3 + neg_Rq_T
+        *_I3, -r0, -r1, -r2, -r3, -r4, -r5, -r6, -r7, -r8,
+        # y: positions subtract, rotations compose
+        b0 - p0, b1 - p1, b2 - p2, a0 + c0, a1 + c1, a2 + c2,
+        *_qlog(_qsandwich(q, _Q1, q_ba)),  # q^-1 ⊗ q_ba
+        # V: range-scaled position noise, then rotation noise
+        sp2, sp2, sp2, sp2, sp2, sp2, _ROT_VAR, _ROT_VAR, _ROT_VAR,
     )
 
 
-def _model(state: NominalState) -> tuple:
-    """q, p, R{q}^T and R{q}^T p of the nominal state, as tuples."""
-    q = state.q.tolist()
-    p = state.p.tolist()
-    Rq_T = _rot(q, transpose=True)
-    return q, p, Rq_T, _vec(Rq_T, p)
+def _z(z: RawPoseMeasurement) -> list:
+    return [*z.p_ba.tolist(), *z.p_ab.tolist(), *z.q_ba.tolist()]
 
 
 def compute_H(state: NominalState) -> np.ndarray:
     """9x12 measurement Jacobian w.r.t. the error state at delta = 0."""
-    _, p, Rq_T, Rq_T_p = _model(state)
-    return _measurement_jacobian(p, Rq_T, Rq_T_p)
-
-
-def _innovation(q, p, Rq_T_p, z: RawPoseMeasurement) -> tuple:
-    b0, b1, b2 = z.p_ba.tolist()
-    a0, a1, a2 = z.p_ab.tolist()
-    rot = _qlog(_qunit(_qmul(_qconj(q), z.q_ba.tolist())))
-    return (b0 - p[0], b1 - p[1], b2 - p[2],
-            a0 + Rq_T_p[0], a1 + Rq_T_p[1], a2 + Rq_T_p[2], *rot)
+    return _H(_measure(_floats(state), _ORIGIN), 1)[0][0].T
 
 
 def innovation(state: NominalState, z: RawPoseMeasurement) -> np.ndarray:
     """9-vector residual z ⊖ h(x): positions subtract, rotations compose."""
-    q, p, _, Rq_T_p = _model(state)
-    return np.array(_innovation(q, p, Rq_T_p, z))
+    return np.array(_measure(_floats(state), _z(z))[54:63])
 
 
-def update(state: NominalState, belief: ErrorBelief, z: RawPoseMeasurement) -> ErrorBelief:
-    """Kalman correction; returns belief with populated delta_mean.
+@dataclass(slots=True)
+class Correction:
+    """What `update` hands `inject_and_reset`: the pairs it corrects (ascending),
+    their error means delta (12 floats each) and covariances P (m, 12, 12),
+    and the pairs it skipped because HPH' + V was singular."""
 
-    Raises SingularInnovation when HPH'+V is not invertible. Returns the
-    input belief unchanged when the innovation fails the chi-square gate.
-    The returned P is symmetrized by `inject_and_reset`, which always follows.
+    rows: list
+    delta: list
+    P: np.ndarray
+    singular: list
+
+
+def _solve_each(S: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, list]:
+    """S^-1 rhs pair by pair, zero where S is singular, and the singular indices."""
+    X, singular = np.zeros_like(rhs), []
+    for i in range(len(S)):
+        try:
+            X[i] = np.linalg.solve(S[i], rhs[i])
+        except np.linalg.LinAlgError:
+            singular.append(i)
+    return X, singular
+
+
+def update(bank: FilterBank, measured: Sequence) -> Correction:
+    """Kalman correction of every pair in measured, (pair, z) with z = p_ba,
+    p_ab, q_ba as 10 floats, pairs ascending. A pair not started yet starts
+    from its measurement instead: p = p_ba, v = 0, q = q_ba, P = INIT_P.
+
+    A pair whose innovation fails the chi-square gate, or whose HPH' + V is
+    singular, keeps its prior; the latter are listed in `Correction.singular`.
+    The corrected P is symmetrized by `inject_and_reset`, which always follows.
     """
-    q, p, Rq_T, Rq_T_p = _model(state)
-    H = _measurement_jacobian(p, Rq_T, Rq_T_p)
-    rhs = np.empty((9, 13))  # [y | HP]: one factorization of S for S^-1 y and S^-1 HP
-    y, HP = rhs[:, 0], rhs[:, 1:]
-    y[:] = _innovation(q, p, Rq_T_p, z)
-    np.matmul(H, belief.P, out=HP)
-    S = HP.dot(H.T)
-    # + V, diagonal: range-scaled position noise, then rotation noise
-    x, yy, zz = z.p_ba.tolist()
-    sp2 = max(0.05, 0.02 * math.sqrt(x * x + yy * yy + zz * zz)) ** 2
-    S.reshape(-1)[::10] += (sp2, sp2, sp2, sp2, sp2, sp2, _ROT_VAR, _ROT_VAR, _ROT_VAR)
+    x, rows, values = bank.x, [], []
+    for n, z in measured:
+        if x[n] is None:
+            x[n] = (*z[:3], 0.0, 0.0, 0.0, *z[6:10])
+            bank.P[n] = INIT_P
+        else:
+            rows.append(n)
+            values += _measure(x[n], z)
+    m = len(rows)
+    if not m:
+        return Correction([], [], np.empty((0, 12, 12)), [])
+    H_T, tail = _H(values, m)
+    rhs = tail[:, :117].reshape(m, 9, 13)  # [y | HP]: one factorization of S for S^-1 y and S^-1 HP
+    P, HP = bank._take(rows), rhs[:, :, 1:]
+    np.matmul(H_T.swapaxes(1, 2), P, out=HP)
+    S = HP @ H_T
+    S += tail[:, 117:].reshape(m, 9, 9)
     try:
-        X = np.linalg.solve(S, rhs)
-    except np.linalg.LinAlgError as e:
-        raise SingularInnovation(str(e)) from e
-    if float(y.dot(X[:, 0])) > CHI2_9_999:
-        return belief
-    K = X[:, 1:].T  # = P H' S^-1
-    return ErrorBelief(K.dot(y), belief.P - K.dot(HP))
+        X, singular = np.linalg.solve(S, rhs), []
+    except np.linalg.LinAlgError:
+        X, singular = _solve_each(S, rhs)
+    # y' X = [y' S^-1 y | (K y)'] with K = P H' S^-1 = (S^-1 HP)': the NIS, then delta
+    yX = (rhs[:, None, :, 0] @ X).tolist()
+    keep = [i for i in range(m) if not yX[i][0][0] > CHI2_9_999 and i not in singular]
+    P = P - X[:, :, 1:].swapaxes(1, 2) @ HP
+    if len(keep) < m:
+        P = P[keep]
+    return Correction([rows[i] for i in keep], [yX[i][0][1:] for i in keep], P, [rows[i] for i in singular])
 
 
 # -- injection and reset ------------------------------------------------------
@@ -392,30 +451,33 @@ def update(state: NominalState, belief: ErrorBelief, z: RawPoseMeasurement) -> E
 _G = _blocks(12, 12, [(0, 0), (1, 1), (2, 2), (3, 3)])
 
 
-def _inject(state: NominalState, d: np.ndarray) -> tuple[NominalState, list, tuple]:
-    """x ⊕ d, with d as a list and the R{dth_B}^T it applied."""
-    d = d.tolist()
-    dq_b = _qexp(*d[9:12])
-    Rb_T = _rot(dq_b, transpose=True)
-    px, py, pz = state.p.tolist()
-    vx, vy, vz = state.v.tolist()
-    p = _vec(Rb_T, (px + d[0], py + d[1], pz + d[2]))
-    v = _vec(Rb_T, (vx + d[3], vy + d[4], vz + d[5]))
-    q = _qsandwich(dq_b, state.q.tolist(), _qexp(*d[6:9]))
-    return NominalState(np.array(p), np.array(v), q, state.t), d, Rb_T
+def _inject(x: tuple, d: list) -> tuple[tuple, tuple]:
+    """x ⊕ d of one pair, and the blocks of its reset Jacobian G: Rb_T, Rb_T,
+    I - [dth_A/2]x, I - [dth_B/2]x, with Rb_T = R{dth_B}^T."""
+    px, py, pz, vx, vy, vz, *q = x
+    d0, d1, d2, d3, d4, d5, a0, a1, a2, b0, b1, b2 = d
+    dq_b = _qexp(b0, b1, b2)
+    Rb_T = _rot(dq_b, True)
+    p = _vec(Rb_T, (px + d0, py + d1, pz + d2))
+    v = _vec(Rb_T, (vx + d3, vy + d4, vz + d5))
+    a0, a1, a2, b0, b1, b2 = 0.5 * a0, 0.5 * a1, 0.5 * a2, 0.5 * b0, 0.5 * b1, 0.5 * b2
+    return (*p, *v, *_qsandwich(dq_b, q, _qexp(*d[6:9]))), (
+        *Rb_T, *Rb_T, 1.0, a2, -a1, -a2, 1.0, a0, a1, -a0, 1.0, 1.0, b2, -b1, -b2, 1.0, b0, b1, -b0, 1.0
+    )
 
 
-def _reset_jacobian(d: list, Rb_T: tuple) -> np.ndarray:
-    """Block-diagonal G: Rb_T, Rb_T, I - [dth_A/2]x, I - [dth_B/2]x."""
-    return _G(Rb_T + Rb_T + _eye_minus_half_skew(*d[6:9]) + _eye_minus_half_skew(*d[9:12]))
-
-
-def inject_and_reset(state: NominalState, belief: ErrorBelief) -> tuple[NominalState, ErrorBelief]:
-    """Fold delta_mean into the nominal state, then zero it and remap P."""
-    new_state, d, Rb_T = _inject(state, belief.delta_mean)
-    G = _reset_jacobian(d, Rb_T)
-    P = G.dot(belief.P).dot(G.T)
-    return new_state, ErrorBelief(np.zeros(12), 0.5 * (P + P.T))
+def inject_and_reset(bank: FilterBank, fix: Correction) -> None:
+    """Fold each corrected pair's delta into its nominal state, then remap
+    and symmetrize its P; the error mean is zero again."""
+    if not fix.rows:
+        return
+    x, g = bank.x, []
+    for n, d in zip(fix.rows, fix.delta):
+        x[n], gn = _inject(x[n], d)
+        g += gn
+    G_T = _G(g, len(fix.rows))
+    P = G_T.swapaxes(1, 2) @ fix.P @ G_T
+    bank._put(fix.rows, 0.5 * (P + P.swapaxes(1, 2)))
 
 
 def reset_map(delta: np.ndarray, delta_hat: np.ndarray) -> np.ndarray:
@@ -432,29 +494,4 @@ def reset_map(delta: np.ndarray, delta_hat: np.ndarray) -> np.ndarray:
 
 def reset_jacobian(delta_hat: np.ndarray) -> np.ndarray:
     """Jacobian of reset_map w.r.t. delta, as `inject_and_reset` remaps P with."""
-    d = delta_hat.tolist()
-    return _reset_jacobian(d, _rot(_qexp(*d[9:12]), transpose=True))
-
-
-class RelativePoseFilter:
-    """Convenience wrapper serializing predict/update for one neighbor."""
-
-    def __init__(self):
-        self.state: NominalState | None = None
-        self.belief: ErrorBelief | None = None
-
-    @property
-    def initialized(self) -> bool:
-        return self.state is not None
-
-    def process_imu(self, u: ImuPairInput) -> None:
-        if self.state is None:
-            return
-        self.state, self.belief = predict(self.state, self.belief, u)
-
-    def process_measurement(self, z: RawPoseMeasurement) -> None:
-        if self.state is None:
-            self.state, self.belief = init_from_raw(z)
-            return
-        self.belief = update(self.state, self.belief, z)
-        self.state, self.belief = inject_and_reset(self.state, self.belief)
+    return _G(_inject(_ORIGIN, delta_hat.tolist())[1], 1)[0].T

@@ -1,11 +1,11 @@
 """Scenario runner: simulate, estimate, record, export.
 
 Walks the sensor tape one chunk at a time. Per chunk, the raw measurements are
-formed in one array pass; then each observed pair's relative-pose filter walks
-the chunk's ticks alone, predicting from both robots' rows of the chunk's IMU
-array and correcting on its camera rows (the filters share no state, so this
-gives what a walk tick by tick would); then, with PGO, the pose graphs of the
-chunk's PGO camera frames are solved in the ego robot's frame.
+formed in one array pass; then the run's bank of pair filters walks the
+chunk's ticks, predicting every pair from both robots' rows of the chunk's IMU
+array and correcting the pairs measured at each camera row; then, with PGO,
+the pose graphs of the chunk's PGO camera frames are solved in the ego robot's
+frame.
 """
 
 from __future__ import annotations
@@ -17,15 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, eskf
 from .camera import ds_unproject
 from .codec import SpotTracker
-from .eskf import ImuPairInput, RelativePoseFilter, SingularInnovation
+from .eskf import FilterBank
 from .geom import Pose, quats_from_rotmats, rotmats_from_quats
 from .metrics import AlignedPair, error_series, summarize
 # relbench/tracer.py wraps the solve under this module's name, relpose.runner.solve
 from .pgo import initial_stack, solve
-from .rawpose import RawPoseMeasurement, RawSolve, raw_estimate
+from .rawpose import RawSolve, raw_estimate
 from .scenario import ScenarioConfig
 from .world import SensorChunk, World, stride
 
@@ -63,12 +63,13 @@ def _pose_series(rows: list) -> PoseSeries:
     return PoseSeries(t=a[:, 0], p=a[:, 1:4], q=a[:, 4:8])
 
 
-def _filter_series(rows: list) -> FilterSeries:
-    """Rows of (t, p, v, q, P_diag), 23 values each, as one series, with w >= 0."""
-    a = np.array(rows, dtype=float).reshape(-1, 23)
-    q = a[:, 7:11]
+def _filter_series(t: list, x: np.ndarray, P_diag: np.ndarray) -> FilterSeries:
+    """A filter's series from its sample times, its states (m, 10: p, v, q)
+    and its covariance diagonals (m, 12), with w >= 0."""
+    a = np.array(x, dtype=float)
+    q = a[:, 6:]
     q[q[:, 0] < 0] *= -1.0
-    return FilterSeries(t=a[:, 0], p=a[:, 1:4], q=a[:, 7:11], v=a[:, 4:7], P_diag=a[:, 11:])
+    return FilterSeries(t=np.array(t, dtype=float), p=a[:, :3], q=q, v=a[:, 3:6], P_diag=P_diag)
 
 
 @dataclass
@@ -87,6 +88,9 @@ class RunResult:
         t = np.asarray(series.t, dtype=float)
         gt_p, gt_R = grid.relative(observer, target, grid.ticks(t))
         return AlignedPair(t, series.p, rotmats_from_quats(series.q), gt_p, gt_R)
+
+
+_UNSTARTED = (np.nan,) * 10  # a pair's recorded state before its first measurement
 
 
 def _pairs_for(cfg: ScenarioConfig) -> list[tuple[int, int]]:
@@ -213,8 +217,9 @@ class _RawMeasurements:
 
 
 def _solve_graphs(ego: int, pairs: list, snaps: list, pgo_rows: dict, pgo_converged: list) -> None:
-    """Solve a chunk's snapshots (t, edge mask, the masked pairs' states), one stack
-    per mask; a mask whose edges miss the ego gives no rows and converges."""
+    """Solve a chunk's snapshots (t, edge mask, the masked pairs' states as 10
+    floats each), one stack per mask; a mask whose edges miss the ego gives no
+    rows and converges."""
     groups: dict[tuple, list[int]] = {}
     for k, (_, edge, _) in enumerate(snaps):
         groups.setdefault(edge, []).append(k)
@@ -222,8 +227,8 @@ def _solve_graphs(ego: int, pairs: list, snaps: list, pgo_rows: dict, pgo_conver
     X = np.zeros((len(snaps), len(robots), 4, 4))
     solved, converged = np.zeros(X.shape[:2], dtype=bool), np.ones(len(snaps), dtype=bool)
     for edge, rows in groups.items():
-        p, q = (np.array([[getattr(s, a) for s in snaps[k][2]] for k in rows]) for a in "pq")
-        stack = initial_stack(ego, [pair for pair, e in zip(pairs, edge) if e], p, q)
+        x = np.array([snaps[k][2] for k in rows])
+        stack = initial_stack(ego, [pair for pair, e in zip(pairs, edge) if e], x[..., :3], x[..., 6:])
         if stack is not None:
             free, T, edges = stack
             T, report = solve(T, edges)
@@ -244,13 +249,16 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     run_pgo = cfg.estimator == "pgo"
 
     raw = _RawMeasurements(cfg, world, pairs)
-    filters = [RelativePoseFilter() for _ in pairs]
+    bank = FilterBank(zip(raw.tgt.tolist(), raw.obs.tolist()))
     last_meas_t = [-1e9] * len(pairs)  # each filter's last accepted measurement time
 
-    # raw and PGO rows as (m, 8) blocks per chunk; one row of plain values per
-    # filter sample; arrays are built after the loop
+    # raw and PGO rows as (m, 8) blocks per chunk; per chunk, the bank's states
+    # (NaN before a pair starts) and covariance diagonals at each camera tick,
+    # from which the filters' series are cut
     raw_rows: list[list] = [[] for _ in pairs]
-    eskf_rows: list[list] = [[] for _ in pairs]
+    cam_t: list[float] = []
+    cam_x = [np.empty((0, len(pairs), 10))]
+    cam_P = [np.empty((0, len(pairs), 12))]
     pgo_rows: dict[int, list] = {rid: [np.empty((0, 8))] for rid in sorted(world.robots) if rid != cfg.ego}
     pgo_converged: list[bool] = []
 
@@ -268,61 +276,57 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             rows.append(block[k == n])
         if not run_eskf:
             continue
-        # each pair's measurements by camera row, None where it has none
+        # each camera row's measurements as (pair, p_ba, p_ab and q_ba as 10 floats)
         n_cam = chunk.lit.shape[0]
-        measurements = [[None] * n_cam for _ in pairs]
-        for n, row, tt, p_ba, p_ab, q_ba in zip(
-            k.tolist(), c.tolist(), t_rows.tolist(), z.p_ba[ok], z.p_ab[ok], z.q_ba[ok]
-        ):
-            measurements[n][row] = RawPoseMeasurement(p_ba, p_ab, q_ba, tt)
-        # each robot's IMU rows as (accel, gyro) float lists, and per pair
-        # whether both robots' rows are finite
-        imu = [[(row[:3], row[3:]) for row in rows] for rows in chunk.imu.tolist()]
-        finite = np.isfinite(chunk.imu).all(axis=2)
-        imu_ok = (finite[raw.obs] & finite[raw.tgt]).tolist()
-        ticks = list(zip(chunk.t.tolist(), chunk.imu_row.tolist(), chunk.cam_row.tolist()))
-        at_pgo = [(cam_tick + row) % pgo_every == 0 if run_pgo else False for row in range(n_cam)]
+        measured: list[list] = [[] for _ in range(n_cam)]
+        for n, row, zn in zip(k.tolist(), c.tolist(), np.column_stack((z.p_ba, z.p_ab, z.q_ba))[ok].tolist()):
+            measured[row].append((n, zn))
+        # each IMU tick's rows, one per robot: 6 floats, None where not finite,
+        # which skips the predictions of that robot's pairs
+        imu = chunk.imu.tolist()
+        for i, r in zip(*np.nonzero(~np.isfinite(chunk.imu).all(axis=2))):
+            imu[i][r] = None
+        imu = list(zip(*imu))
+        ticks = zip(chunk.t.tolist(), chunk.imu_row.tolist(), chunk.cam_row.tolist())
+        snaps = []  # the PGO camera rows' graphs: time, edge mask, the fresh pairs' states
+        xs, Ps = [], []
+
+        for t, r, row in ticks:
+            if r >= 0:
+                eskf.predict(bank, imu[r], imu_dt)
+            if row < 0:
+                continue
+            if measured[row]:
+                fix = eskf.update(bank, measured[row])
+                eskf.inject_and_reset(bank, fix)
+                for n, _ in measured[row]:
+                    if n not in fix.singular:  # a singular update keeps the prior
+                        last_meas_t[n] = t
+            cam_t.append(t)
+            xs.append([_UNSTARTED if x is None else x for x in bank.x])
+            Ps.append(np.diagonal(bank.P, axis1=1, axis2=2).copy())
+            if run_pgo and (cam_tick + row) % pgo_every == 0:
+                edge = tuple(t - last <= edge_stale for last in last_meas_t)
+                if any(edge):
+                    snaps.append((t, edge, [x for x, e in zip(bank.x, edge) if e]))
         cam_tick += n_cam
-
-        # each pair's filter walks the chunk alone; at the PGO camera rows it
-        # records its state, or None where its last measurement is stale
-        records = []
-        for n, (f, obs, tgt) in enumerate(zip(filters, raw.obs.tolist(), raw.tgt.tolist())):
-            meas, imu_a, imu_b, fine, rows = measurements[n], imu[tgt], imu[obs], imu_ok[n], eskf_rows[n]
-            last_t, record = last_meas_t[n], []
-            for t, r, row in ticks:
-                if r >= 0 and fine[r]:  # a non-finite row skips the pair's prediction
-                    f.process_imu(ImuPairInput(*imu_a[r], *imu_b[r], imu_dt))
-                if row < 0:
-                    continue
-                if meas[row] is not None:
-                    try:
-                        f.process_measurement(meas[row])
-                    except SingularInnovation:
-                        pass  # skip this update; the filter keeps its prior
-                    else:
-                        last_t = t
-                if f.initialized:
-                    st = f.state
-                    rows.append(np.concatenate(([t], st.p, st.v, st.q, f.belief.P.diagonal())))
-                if at_pgo[row]:  # the filters replace their states, never write into them
-                    record.append(f.state if t - last_t <= edge_stale else None)
-            last_meas_t[n] = last_t
-            records.append(record)
-
-        snaps = []
-        for t, states in zip(chunk.t[chunk.cam_row >= 0][at_pgo].tolist(), zip(*records)):
-            edge = tuple(s is not None for s in states)
-            if any(edge):
-                snaps.append((t, edge, [s for s in states if s is not None]))
+        cam_x.append(np.array(xs).reshape(-1, len(pairs), 10))
+        cam_P.append(np.array(Ps).reshape(-1, len(pairs), 12))
         if snaps:
             _solve_graphs(cfg.ego, pairs, snaps, pgo_rows, pgo_converged)
+
+    eskf_series = {}
+    cam_x, cam_P = np.concatenate(cam_x), np.concatenate(cam_P)
+    for n, pair in enumerate(pairs):  # a filter's series starts at its first measurement
+        started = ~np.isnan(cam_x[:, n, 0])
+        first = int(started.argmax()) if started.any() else len(cam_t)
+        eskf_series[pair] = _filter_series(cam_t[first:], cam_x[first:, n], cam_P[first:, n])
 
     result = RunResult(
         config=cfg,
         world=world,
         raw={pair: _pose_series(np.concatenate(rows)) for pair, rows in zip(pairs, raw_rows)},
-        eskf={pair: _filter_series(rows) for pair, rows in zip(pairs, eskf_rows)},
+        eskf=eskf_series,
         pgo={rid: _pose_series(np.concatenate(rows)) for rid, rows in pgo_rows.items()},
         pgo_converged=pgo_converged,
         metrics={},

@@ -195,10 +195,14 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     return ScenarioConfig(robots=robots, duration=duration, **kwargs)
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
+def read_config(path: str | Path) -> dict:
+    """The JSON object of a config file, not yet checked."""
     path = Path(path)
     try:
-        d = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: not valid JSON: {e}") from e
-    return config_from_dict(d)
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    return config_from_dict(read_config(path))

@@ -8,6 +8,10 @@ they read the same noise, gate and solver constants from those modules.
 `edges_from_filters` builds one frame's pose graph from `Pose` objects, as
 the runner did before it stacked a chunk's graphs (`pgo.initial_stack`), and
 `stack_of_one` hands such a graph to `pgo.solve`.
+
+The reference filter works on one pair's `NominalState` and `ErrorBelief`;
+`bank_of_one`, `state_of`, `imu_rows` and `z_floats` move a pair between
+those and a `relpose.eskf.FilterBank` of one.
 """
 
 from dataclasses import dataclass, field
@@ -19,9 +23,8 @@ from relpose.eskf import (
     CHI2_9_999,
     GYRO_VAR,
     ROT_SIGMA,
-    ErrorBelief,
+    FilterBank,
     NominalState,
-    SingularInnovation,
 )
 from relpose.geom import (
     Pose,
@@ -36,6 +39,39 @@ from relpose.geom import (
     skew,
 )
 from relpose.pgo import _GEN, HUBER_DELTA, MAX_ITERS, REL_TOL, _Edges, residual
+
+@dataclass
+class ErrorBelief:
+    delta_mean: np.ndarray  # 12-vector, zero outside the update->reset window
+    P: np.ndarray  # 12x12
+
+
+class SingularInnovation(np.linalg.LinAlgError):
+    """HPH' + V not invertible."""
+
+
+def bank_of_one(state, P) -> FilterBank:
+    """A bank whose one pair (A's IMU row 0, B's row 1) has this state and P."""
+    bank = FilterBank([(0, 1)])
+    bank.x[0] = (*state.p.tolist(), *state.v.tolist(), *state.q.tolist())
+    bank.P[0] = P
+    return bank
+
+
+def state_of(bank, n=0, t=0.0) -> NominalState:
+    x = np.array(bank.x[n])
+    return NominalState(x[:3], x[3:6], x[6:], t)
+
+
+def imu_rows(u) -> list:
+    """`ImuPairInput` u as the IMU rows of a bank of one: A's, then B's."""
+    return [[*map(float, u.a_ma), *map(float, u.w_ma)], [*map(float, u.a_mb), *map(float, u.w_mb)]]
+
+
+def z_floats(z) -> list:
+    """A `RawPoseMeasurement` as the 10 floats the filter bank takes."""
+    return [*z.p_ba.tolist(), *z.p_ab.tolist(), *z.q_ba.tolist()]
+
 
 # input-noise covariance of [a_nA, w_nA, a_nB, w_nB]
 QI = np.diag([ACCEL_VAR] * 3 + [GYRO_VAR] * 3 + [ACCEL_VAR] * 3 + [GYRO_VAR] * 3)

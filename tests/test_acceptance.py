@@ -13,7 +13,7 @@ import pytest
 from acceptance_report import record_criterion
 from relpose.bench import bench
 from relpose.checks import check_jacobians
-from relpose.eskf import ImuPairInput, RelativePoseFilter
+from relpose.eskf import FilterBank, inject_and_reset, predict, update
 from relpose.geom import (
     euler_zyx_from_quat,
     quat_from_euler_zyx,
@@ -22,7 +22,7 @@ from relpose.geom import (
     quat_mul,
     rotmat_from_quat,
 )
-from relpose.rawpose import RawPoseMeasurement, raw_estimate
+from relpose.rawpose import raw_estimate
 from relpose.runner import run_scenario, write_outputs
 from relpose.scenario import config_from_dict
 from relpose.trajectory import eval_trajectory
@@ -112,23 +112,19 @@ def test_eskf_noiseless_convergence():
     a_ma = rotmat_from_quat(q_wa).T @ (-GRAV)
     a_mb = rotmat_from_quat(q_wb).T @ (-GRAV)
 
-    f = RelativePoseFilter()  # |p_true| = 2.29 m: V keeps its 0.05 m position floor
-    z0 = RawPoseMeasurement(
-        p_ba=p_true + np.array([0.5, 0.0, 0.0]),
-        p_ab=-rotmat_from_quat(q_true).T @ (p_true + np.array([0.5, 0.0, 0.0])),
-        q_ba=quat_mul(q_true, quat_from_rotvec(np.deg2rad(10.0) * np.array([0, 0, 1.0]))),
-        t=0.0,
-    )
-    f.process_measurement(z0)
-    z = RawPoseMeasurement(
-        p_ba=p_true, p_ab=-rotmat_from_quat(q_true).T @ p_true, q_ba=q_true
-    )
+    bank = FilterBank([(0, 1)])  # |p_true| = 2.29 m: V keeps its 0.05 m position floor
+    p0 = p_true + np.array([0.5, 0.0, 0.0])
+    q0 = quat_mul(q_true, quat_from_rotvec(np.deg2rad(10.0) * np.array([0, 0, 1.0])))
+    update(bank, [(0, [*p0, *(-rotmat_from_quat(q_true).T @ p0), *q0])])
+    z = [*p_true, *(-rotmat_from_quat(q_true).T @ p_true), *q_true]
+    imu = [[*a_ma, 0.0, 0.0, 0.0], [*a_mb, 0.0, 0.0, 0.0]]
     dt = 0.005  # 200 Hz IMU and updates, 2 simulated seconds
     for k in range(400):
-        f.process_imu(ImuPairInput(a_ma, np.zeros(3), a_mb, np.zeros(3), dt))
-        f.process_measurement(z)
-    pos_err = float(np.linalg.norm(f.state.p - p_true))
-    rot_err = float(np.rad2deg(quat_angle_between(f.state.q, q_true)))
+        predict(bank, imu, dt)
+        inject_and_reset(bank, update(bank, [(0, z)]))
+    x = np.array(bank.x[0])
+    pos_err = float(np.linalg.norm(x[:3] - p_true))
+    rot_err = float(np.rad2deg(quat_angle_between(x[6:], q_true)))
     ok = pos_err <= 1e-4 and rot_err <= 0.01
     _criterion(
         "criterion-3 ESKF noiseless convergence",

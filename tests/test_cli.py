@@ -1,3 +1,4 @@
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -11,6 +12,8 @@ import pytest
 import relpose
 import relpose.cli
 from relpose import pgo
+from relpose.bench import bench
+from relpose.checks import check_jacobians
 from relpose.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +47,31 @@ def test_run_subcommand(tmp_path, capsys):
     assert "0-1" in metrics["pairs"]
     assert (out / "metrics.json").exists()
     assert (out / "eskf_0_1.csv").exists()
+
+
+def test_run_reads_the_config_once(tmp_path, capsys, monkeypatch):
+    # the manifest hashes the object the run loaded: a file rewritten after
+    # that one read changes neither the run nor the hash
+    cfg = write_small_scenario(tmp_path)
+    loaded = json.loads(cfg.read_text())
+    read_text, reads = Path.read_text, []
+
+    def read_once_then_rewrite(self, *args, **kwargs):
+        text = read_text(self, *args, **kwargs)
+        if self == cfg:
+            reads.append(text)
+            cfg.write_text(json.dumps(loaded | {"seed": 4, "duration": 1.0}))
+        return text
+
+    monkeypatch.setattr(Path, "read_text", read_once_then_rewrite)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(reads) == 1
+    manifest = dict(line.split(": ", 1) for line in (tmp_path / "out" / "manifest.txt").read_text().splitlines())
+    digest = hashlib.sha256(json.dumps(loaded, sort_keys=True).encode()).hexdigest()
+    assert manifest["config_sha256"] == digest
+    assert manifest["seed"] == "3"
+    t = (tmp_path / "out" / "eskf_0_1.csv").read_text().splitlines()[-1].split(",")[0]
+    assert float(t) == 2.0  # the loaded duration, not the rewritten one
 
 
 def test_run_seed_override(tmp_path, capsys):
@@ -216,6 +244,23 @@ def test_counts_and_seeds_out_of_range_exit_2(capsys, argv, message):
     assert out == ""  # no Jacobian reported as checked, no timing
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_jacobians(n_states=0),
+        lambda: check_jacobians(n_states=-3),
+        lambda: bench(reps=0),
+        lambda: bench(reps=-5),
+    ],
+    ids=["zero_states", "negative_states", "zero_reps", "negative_reps"],
+)
+def test_library_counts_below_one_raise(call):
+    # check_jacobians(n_states=0) reported a worst error of 0.0 having checked
+    # nothing, and bench(reps=0) stopped with an IndexError
+    with pytest.raises(ValueError, match="must be at least 1"):
+        call()
+
+
 def test_bench_subcommand(capsys):
     rc = main(["bench", "--reps", "5"])
     assert rc == 0
@@ -223,6 +268,7 @@ def test_bench_subcommand(capsys):
     assert "raw_estimate_row" in out
     assert "eskf_cycle" in out
     assert "pgo_5robot" in out
+    assert "eskf_bank10" in out
 
 
 def test_export_gt_subcommand(tmp_path, capsys):

@@ -5,15 +5,13 @@ from relpose.eskf import (
     CHI2_9_999,
     INIT_P,
     ROT_SIGMA,
-    ErrorBelief,
+    Correction,
+    FilterBank,
     ImuPairInput,
     NominalState,
-    RelativePoseFilter,
-    SingularInnovation,
     compute_Fi,
     compute_Fx,
     compute_H,
-    init_from_raw,
     inject_and_reset,
     innovation,
     predict,
@@ -21,7 +19,7 @@ from relpose.eskf import (
     reset_map,
     update,
 )
-from estimator_reference import true_state
+from estimator_reference import ErrorBelief, bank_of_one, imu_rows, state_of, true_state, z_floats
 from relpose.geom import (
     quat_from_euler_zyx,
     quat_from_rotvec,
@@ -73,22 +71,22 @@ def test_predict_preserves_static_truth():
     q_wa = quat_from_euler_zyx(0.3, -0.2, 1.0)
     q_wb = quat_from_euler_zyx(-0.1, 0.15, -0.6)
     p_rel, q_rel, u = simulate_pair(q_wa, q_wb, np.array([2.0, 1.0, 0.5]), np.zeros(3))
-    state = NominalState(p=p_rel.copy(), v=np.zeros(3), q=q_rel.copy())
-    belief = ErrorBelief(np.zeros(12), INIT_P)
+    bank = bank_of_one(NominalState(p=p_rel.copy(), v=np.zeros(3), q=q_rel.copy()), INIT_P)
     for _ in range(500):
-        state, belief = predict(state, belief, u)
+        predict(bank, imu_rows(u), u.dt)
+    state = state_of(bank)
     assert np.allclose(state.p, p_rel, atol=1e-9)
     assert np.allclose(state.v, 0.0, atol=1e-9)
     assert quat_angle_between(state.q, q_rel) < 1e-9
 
 
 def test_predict_inflates_covariance():
-    state = random_state()
-    belief = ErrorBelief(np.zeros(12), INIT_P)
-    before = np.trace(belief.P)
-    _, after_belief = predict(state, belief, random_input())
-    assert np.trace(after_belief.P) > before
-    assert np.allclose(after_belief.P, after_belief.P.T)
+    bank = bank_of_one(random_state(), INIT_P)
+    before = np.trace(bank.P[0])
+    u = random_input()
+    predict(bank, imu_rows(u), u.dt)
+    assert np.trace(bank.P[0]) > before
+    assert np.allclose(bank.P[0], bank.P[0].T)
 
 
 def test_predict_constant_angular_rate_rotates_frame():
@@ -96,10 +94,11 @@ def test_predict_constant_angular_rate_rotates_frame():
     w = np.array([0.0, 0.0, 1.0])
     u = ImuPairInput(a_ma=-GRAV, w_ma=np.zeros(3), a_mb=-GRAV, w_mb=w, dt=0.001)
     state = NominalState(p=np.array([3.0, 0.0, 0.0]), v=np.zeros(3), q=np.array([1.0, 0, 0, 0]))
-    belief = ErrorBelief(np.zeros(12), INIT_P)
+    bank = bank_of_one(state, INIT_P)
     for _ in range(1000):  # 1 s
-        state, belief = predict(state, belief, u)
+        predict(bank, imu_rows(u), u.dt)
     # after 1 rad of observer yaw the target appears rotated by -1 rad
+    state = state_of(bank)
     expect_p = np.array([np.cos(1.0), -np.sin(1.0), 0.0]) * 3.0
     assert np.allclose(state.p, expect_p, atol=1e-3)
     assert quat_angle_between(state.q, quat_from_rotvec(-w)) < 1e-3
@@ -114,15 +113,16 @@ def test_innovation_zero_at_truth():
 
 def test_update_pulls_toward_measurement():
     state = NominalState(p=np.array([2.0, 0.0, 0.0]), v=np.zeros(3), q=np.array([1.0, 0, 0, 0]))
-    belief = ErrorBelief(np.zeros(12), INIT_P)
+    bank = bank_of_one(state, INIT_P)
     z = RawPoseMeasurement(
         p_ba=np.array([2.3, 0.0, 0.0]),
         p_ab=np.array([-2.3, 0.0, 0.0]),
         q_ba=np.array([1.0, 0, 0, 0]),
     )
-    new_belief = update(state, belief, z)
-    assert new_belief.delta_mean[0] > 0.1  # moved toward the measurement
-    assert np.trace(new_belief.P) < np.trace(belief.P)
+    fix = update(bank, [(0, z_floats(z))])
+    assert fix.rows == [0]
+    assert fix.delta[0][0] > 0.1  # moved toward the measurement
+    assert np.trace(fix.P[0]) < np.trace(INIT_P)
 
 
 def nis(state, belief, z):
@@ -144,10 +144,13 @@ def test_update_gate_rejects_outlier():
         q_ba=np.array([1.0, 0, 0, 0]),
     )
     assert nis(state, belief, z) > CHI2_9_999
-    out = update(state, belief, z)
-    assert out is belief
-    assert np.array_equal(out.delta_mean, belief.delta_mean)
-    assert np.array_equal(out.P, belief.P)
+    bank = bank_of_one(state, belief.P)
+    x, P = bank.x[0], bank.P.copy()
+    fix = update(bank, [(0, z_floats(z))])
+    assert fix.rows == [] and fix.singular == []
+    inject_and_reset(bank, fix)
+    assert bank.x[0] is x  # the pair keeps its prior
+    assert np.array_equal(bank.P, P)
 
 
 @pytest.mark.parametrize("range_m", [1.0, 2.0, 4.0, 10.0])
@@ -160,7 +163,7 @@ def test_update_gates_on_nis(range_m):
     for jump in np.linspace(0.0, 0.4 * max(1.0, range_m / 2.5), 41):
         p = np.array([range_m + jump, 0.5 * jump, 0.0])
         z = RawPoseMeasurement(p_ba=p, p_ab=-p, q_ba=np.array([1.0, 0, 0, 0]))
-        gated = update(state, belief, z) is belief
+        gated = update(bank_of_one(state, belief.P), [(0, z_floats(z))]).rows == []
         assert gated == (nis(state, belief, z) > CHI2_9_999)
         outcomes.add(gated)
     assert outcomes == {True, False}
@@ -188,14 +191,20 @@ def test_true_state_composition():
 
 
 def test_inject_and_reset_zeroes_delta():
+    # the bank keeps no error mean: injecting delta moves the nominal state to
+    # x (+) delta and remaps P through G, symmetrized
     state = random_state()
     d = RNG.uniform(-0.05, 0.05, 12)
     belief = ErrorBelief(d, INIT_P)
-    new_state, new_belief = inject_and_reset(state, belief)
-    assert np.allclose(new_belief.delta_mean, 0.0)
+    bank = bank_of_one(state, np.zeros((12, 12)))
+    inject_and_reset(bank, Correction([0], [d.tolist()], INIT_P[None].copy(), []))
+    new_state = state_of(bank)
     expect = true_state(state, belief)
     assert np.allclose(new_state.p, expect.p)
     assert quat_angle_between(new_state.q, expect.q) < 1e-12
+    G = reset_jacobian(d)
+    assert np.allclose(bank.P[0], G @ INIT_P @ G.T, rtol=0.0, atol=1e-15)
+    assert np.array_equal(bank.P[0], bank.P[0].T)
 
 
 def test_reset_map_consistency():
@@ -260,65 +269,141 @@ def test_singular_innovation_raised():
     state = NominalState(p=np.zeros(3), v=np.zeros(3), q=np.array([1.0, 0, 0, 0]))
     P = np.zeros((12, 12))
     P[6:9, 6:9] = -(ROT_SIGMA**2) * np.eye(3)
-    belief = ErrorBelief(np.zeros(12), P)
     z = RawPoseMeasurement(p_ba=np.zeros(3), p_ab=np.zeros(3), q_ba=state.q.copy())
     H = compute_H(state)
-    assert np.array_equal((H @ belief.P @ H.T)[6:9, 6:9], -(ROT_SIGMA**2) * np.eye(3))
-    with pytest.raises(SingularInnovation):
-        update(state, belief, z)
+    assert np.array_equal((H @ P @ H.T)[6:9, 6:9], -(ROT_SIGMA**2) * np.eye(3))
+    bank = bank_of_one(state, P)
+    x = bank.x[0]
+    fix = update(bank, [(0, z_floats(z))])
+    assert fix.singular == [0] and fix.rows == []
+    inject_and_reset(bank, fix)
+    assert bank.x[0] is x and np.array_equal(bank.P[0], P)  # the pair keeps its prior
 
 
 def test_filter_takes_imu_rows_as_lists_or_arrays():
-    # the runner passes each IMU row as float lists; arrays must give the same bits
+    # the runner passes each IMU row as a float list; arrays must give the same bits
     rng = np.random.default_rng(11)
     rows = rng.normal(0.0, 0.5, (40, 2, 6))
     rows[:, :, 2] += 9.81
-    z = RawPoseMeasurement(
-        p_ba=np.array([2.0, 0.5, 0.1]), p_ab=np.array([-2.0, -0.5, -0.1]), q_ba=np.array([1.0, 0, 0, 0])
-    )
+    z = [2.0, 0.5, 0.1, -2.0, -0.5, -0.1, 1.0, 0.0, 0.0, 0.0]
     out = []
     for tape in (rows, rows.tolist()):
-        f = RelativePoseFilter()
-        f.process_measurement(z)
-        for k, (a, b) in enumerate(tape):
-            f.process_imu(ImuPairInput(a[:3], a[3:], b[:3], b[3:], 0.01))
+        bank = FilterBank([(0, 1)])
+        update(bank, [(0, z)])
+        for k, ab in enumerate(tape):
+            predict(bank, ab, 0.01)
             if k % 4 == 3:
-                f.process_measurement(z)
-        out.append(f)
+                inject_and_reset(bank, update(bank, [(0, z)]))
+        out.append(bank)
     arrays, lists = out
-    for name in ("p", "v", "q", "t"):
-        assert np.array_equal(getattr(arrays.state, name), getattr(lists.state, name)), name
-    assert np.array_equal(arrays.belief.P, lists.belief.P)
-    assert np.array_equal(arrays.belief.delta_mean, lists.belief.delta_mean)
-    assert not np.array_equal(arrays.state.p, z.p_ba)  # the filter moved
+    assert np.array_equal(arrays.x[0], lists.x[0])
+    assert np.array_equal(arrays.P, lists.P)
+    assert not np.array_equal(arrays.x[0][:3], z[:3])  # the filter moved
 
 
 def test_filter_wrapper_lifecycle():
-    f = RelativePoseFilter()
-    assert not f.initialized
-    f.process_imu(random_input())  # silently ignored before init
-    assert not f.initialized
-    z = RawPoseMeasurement(
-        p_ba=np.array([1.0, 0, 0]), p_ab=np.array([-1.0, 0, 0]), q_ba=np.array([1.0, 0, 0, 0])
-    )
-    f.process_measurement(z)
-    assert f.initialized
-    assert np.allclose(f.state.p, [1.0, 0, 0])
-    assert np.allclose(f.belief.delta_mean, 0.0)
+    bank = FilterBank([(0, 1)])
+    assert bank.x == [None]
+    u = random_input()
+    predict(bank, imu_rows(u), u.dt)  # silently ignored before the first measurement
+    assert bank.x == [None] and not bank.P.any()
+    z = [1.0, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+    fix = update(bank, [(0, z)])  # starts the pair: nothing to correct
+    assert fix.rows == [] and fix.singular == []
+    assert bank.x[0] == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(bank.P[0], INIT_P)
 
 
 def test_init_from_raw_copies():
-    z = RawPoseMeasurement(
-        p_ba=np.array([1.0, 0, 0]), p_ab=np.array([-1.0, 0, 0]), q_ba=np.array([1.0, 0, 0, 0]), t=2.0
-    )
-    state, belief = init_from_raw(z)
-    z.p_ba[0] = 99.0
-    assert state.p[0] == 1.0
-    assert state.t == 2.0
-    assert np.array_equal(belief.P, INIT_P)
-    assert belief.P is not INIT_P
+    z = [1.0, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+    bank = FilterBank([(0, 1), (0, 1)])
+    update(bank, [(1, z)])
+    z[0] = 99.0
+    assert bank.x[0] is None and bank.x[1][0] == 1.0
+    assert not bank.P[0].any() and np.array_equal(bank.P[1], INIT_P)
+    bank.P[1, 0, 0] = 5.0
+    assert INIT_P[0, 0] == 0.25  # the bank holds its own copy
 
 
 def test_imu_input_validation():
     with pytest.raises(ValueError):
         ImuPairInput(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), dt=0.0)
+
+
+# -- the bank: each pair's walk is its walk alone ---------------------------------
+
+# ten pairs over six robots: (A's IMU row, B's IMU row)
+BANK_PAIRS = [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (2, 1), (3, 1), (4, 1), (5, 2), (4, 3)]
+ME, NEVER, GATED, SINGULAR = 7, 0, 2, 9  # robot 5's rows (pairs 4 and 8) are sometimes not finite
+
+
+def test_a_pair_walks_the_same_in_a_bank_of_ten():
+    rng = np.random.default_rng(20)
+    bank, alone = FilterBank(BANK_PAIRS), FilterBank([(0, 1)])
+    a, b = BANK_PAIRS[ME]
+
+    def measure(x):
+        """A measurement near state x (10 floats), consistent with itself."""
+        q = quat_normalize(np.array(x[6:]) + rng.normal(0.0, 0.002, 4))
+        p = np.array(x[:3]) + rng.normal(0.0, 0.02, 3)
+        return [*p, *(-rotmat_from_quat(q).T @ p), *q]
+
+    starts = {n: [*rng.normal(0.0, 3.0, 3), *rng.normal(0.0, 3.0, 3), 1.0, 0.0, 0.0, 0.0] for n in range(10)}
+    skipped = gated = singular = 0
+    for k in range(400):
+        rows = [(rng.normal(0.0, 0.3, 6) + [0.0, 0.0, 9.81, 0.0, 0.0, 0.0]).tolist() for _ in range(6)]
+        if k % 7 == 3:
+            rows[5] = None
+            skipped += 1
+        before = list(bank.x)
+        predict(bank, rows, 0.01)
+        predict(alone, [rows[a], rows[b]], 0.01)
+        if rows[5] is None:
+            assert bank.x[4] is before[4] and bank.x[8] is before[8]
+        if k % 2:
+            if k == 201:  # p = 0, q = I and a P that cancels the rotation noise: S is singular
+                bank.x[SINGULAR] = (0.0,) * 6 + (1.0, 0.0, 0.0, 0.0)
+                bank.P[SINGULAR] = 0.0
+                bank.P[SINGULAR, 6:9, 6:9] = -(ROT_SIGMA**2) * np.eye(3)
+            measured = []
+            for n in range(1, 10):
+                if n == ME and k % 10 == 9:
+                    continue  # some ticks without the pair's own measurement
+                x = bank.x[n]
+                if x is None:
+                    z = starts[n]
+                elif n == SINGULAR and k == 201:
+                    z = [0.0] * 6 + [1.0, 0.0, 0.0, 0.0]
+                elif n == GATED and k > 100:
+                    z = measure(x)
+                    z[0] += 50.0  # far outside the gate
+                else:
+                    z = measure(x)
+                measured.append((n, z))
+            fix = update(bank, measured)
+            gated += GATED in [n for n, _ in measured] and GATED not in fix.rows + fix.singular
+            singular += fix.singular == [SINGULAR]
+            inject_and_reset(bank, fix)
+            mine = [z for n, z in measured if n == ME]
+            if mine:
+                inject_and_reset(alone, update(alone, [(0, mine[0])]))
+        assert bank.x[ME] == alone.x[0], k
+        assert np.array_equal(bank.P[ME], alone.P[0]), k
+    assert bank.x[NEVER] is None and not bank.P[NEVER].any()
+    assert skipped > 50 and gated > 100 and singular == 1
+    assert alone.x[0] is not None
+
+
+def test_prediction_alone_keeps_P_symmetric():
+    # predict does not symmetrize P; over a long stretch without a
+    # correction the asymmetry must stay at rounding level, a few ulp of |P|
+    # per step at most
+    rng = np.random.default_rng(21)
+    bank = FilterBank([(0, 1)])
+    update(bank, [(0, [2.0, 1.0, 0.5, -2.0, -1.0, -0.5, 1.0, 0.0, 0.0, 0.0])])
+    steps = 2000
+    for _ in range(steps):
+        rows = rng.normal(0.0, [0.5, 0.5, 0.5, 0.3, 0.3, 0.3], (2, 6)) + [0.0, 0.0, 9.81, 0.0, 0.0, 0.0]
+        predict(bank, rows.tolist(), 0.01)
+    P = bank.P[0]
+    assert np.abs(P - P.T).max() <= steps * 4 * np.finfo(float).eps * np.abs(P).max()

@@ -29,7 +29,6 @@ def _random_step(rng, k):
     )
     A = rng.normal(size=(12, 12))
     P = 0.01 * (A @ A.T) + 0.01 * np.eye(12)
-    delta = rng.normal(0, 0.01, 12) if k % 2 else np.zeros(12)
     # every third input has a still observer: the first-order branch of Exp
     w_mb = rng.normal(0, 1.0, 3) if k % 3 else np.zeros(3)
     a_ma, w_ma, a_mb = rng.normal(0, 5.0, 3), rng.normal(0, 1.0, 3), rng.normal(0, 5.0, 3)
@@ -44,51 +43,61 @@ def _random_step(rng, k):
         q_ba=quat_normalize(state.q + rng.normal(0, 0.05, 4)),
         t=state.t,
     )
-    return state, eskf.ErrorBelief(delta, P), u, z
+    return state, ref.ErrorBelief(np.zeros(12), P), u, z
 
 
 def test_filter_step_matches_reference():
+    # a bank of one against the reference step; the bank keeps no error mean,
+    # which is zero outside the update->reset window
     rng = np.random.default_rng(7)
     gated = set()
     for k in range(50):
         state, belief, u, z = _random_step(rng, k)
 
-        s_new, b_new = eskf.predict(state, belief, u)
+        bank = ref.bank_of_one(state, belief.P)
+        eskf.predict(bank, ref.imu_rows(u), u.dt)
+        s_new = ref.state_of(bank, t=state.t + u.dt)
         s_ref, b_ref = ref.predict(state, belief, u)
-        for a, b in [(s_new.p, s_ref.p), (s_new.v, s_ref.v), (s_new.q, s_ref.q),
-                     (b_new.delta_mean, b_ref.delta_mean), (b_new.P, b_ref.P)]:
+        for a, b in [(s_new.p, s_ref.p), (s_new.v, s_ref.v), (s_new.q, s_ref.q), (bank.P[0], b_ref.P)]:
             _close(a, b)
-        assert s_new.t == s_ref.t
         _close(eskf.compute_Fx(state, u), ref.compute_Fx(state, u, u.dt))
         _close(eskf.compute_Fi(state, u), ref.compute_Fi(state, u, u.dt))
         _close(eskf.compute_H(state), ref.compute_H(state))
         _close(eskf.innovation(state, z), ref.innovation(state, z))
 
-        u_new = eskf.update(s_new, b_new, z)
-        u_ref = ref.update(s_new, b_new, z)
-        assert (u_new is b_new) == (u_ref is b_new)
-        if u_new is b_new:
+        prior = ref.ErrorBelief(np.zeros(12), bank.P[0].copy())
+        fix = eskf.update(bank, [(0, ref.z_floats(z))])
+        u_ref = ref.update(s_new, prior, z)
+        assert (fix.rows == []) == (u_ref is prior)
+        if u_ref is prior:
             gated.add(k)
-        _close(u_new.delta_mean, u_ref.delta_mean)
-        _close(u_new.P, u_ref.P)
+            continue
+        _close(np.array(fix.delta[0]), u_ref.delta_mean)
+        _close(fix.P[0], u_ref.P)
 
-        r_new = eskf.inject_and_reset(s_new, u_new)
-        r_ref = ref.inject_and_reset(s_new, u_new)
-        for a, b in [(r_new[0].p, r_ref[0].p), (r_new[0].v, r_ref[0].v),
-                     (r_new[0].q, r_ref[0].q), (r_new[1].P, r_ref[1].P)]:
+        eskf.inject_and_reset(bank, fix)
+        r_ref = ref.inject_and_reset(s_new, ref.ErrorBelief(np.array(fix.delta[0]), fix.P[0]))
+        r_new = ref.state_of(bank)
+        for a, b in [(r_new.p, r_ref[0].p), (r_new.v, r_ref[0].v), (r_new.q, r_ref[0].q),
+                     (bank.P[0], r_ref[1].P)]:
             _close(a, b)
-        assert np.array_equal(r_new[1].delta_mean, np.zeros(12))
-        _close(eskf.reset_jacobian(u_new.delta_mean), ref.reset_jacobian(u_new.delta_mean))
+        _close(eskf.reset_jacobian(np.array(fix.delta[0])), ref.reset_jacobian(np.array(fix.delta[0])))
     assert {9, 19, 29, 39, 49} <= gated and len(gated) < 25  # both branches ran
 
 
 def test_gated_measurement_returns_input_belief():
+    # the gate leaves the pair as it was, as the reference returns its input belief
     rng = np.random.default_rng(8)
     state, _, _, _ = _random_step(rng, 0)
-    belief = eskf.ErrorBelief(np.zeros(12), np.eye(12) * 1e-6)
+    belief = ref.ErrorBelief(np.zeros(12), np.eye(12) * 1e-6)
     z = RawPoseMeasurement(state.p + 10.0, rng.normal(0, 3.0, 3), state.q)
     assert ref.update(state, belief, z) is belief
-    assert eskf.update(state, belief, z) is belief
+    bank = ref.bank_of_one(state, belief.P)
+    x = bank.x[0]
+    fix = eskf.update(bank, [(0, ref.z_floats(z))])
+    assert fix.rows == [] and fix.singular == []
+    eskf.inject_and_reset(bank, fix)
+    assert bank.x[0] is x and np.array_equal(bank.P[0], belief.P)
 
 
 def test_singular_innovation_as_reference():
@@ -96,11 +105,11 @@ def test_singular_innovation_as_reference():
     state = eskf.NominalState(p=np.zeros(3), v=np.zeros(3), q=np.array([1.0, 0, 0, 0]))
     P = np.zeros((12, 12))
     P[6:9, 6:9] = -(eskf.ROT_SIGMA**2) * np.eye(3)
-    belief = eskf.ErrorBelief(np.zeros(12), P)
     z = RawPoseMeasurement(np.zeros(3), np.zeros(3), state.q.copy())
-    for update in (ref.update, eskf.update):
-        with pytest.raises(eskf.SingularInnovation):
-            update(state, belief, z)
+    with pytest.raises(ref.SingularInnovation):
+        ref.update(state, ref.ErrorBelief(np.zeros(12), P), z)
+    fix = eskf.update(ref.bank_of_one(state, P), [(0, ref.z_floats(z))])
+    assert fix.singular == [0] and fix.rows == []
 
 
 # -- pose graph -----------------------------------------------------------------

@@ -275,7 +275,7 @@ def test_team_run_solves_its_recorded_graphs_as_one_graph_solves(monkeypatch):
     t, masks = [s[0] for s in recorded], [s[1] for s in recorded]
     p, q = np.zeros((len(recorded), len(PAIRS5), 3)), np.zeros((len(recorded), len(PAIRS5), 4))
     for f, (_, mask, states) in enumerate(recorded):  # a snapshot holds its masked pairs' states
-        p[f, list(mask)], q[f, list(mask)] = [s.p for s in states], [s.q for s in states]
+        p[f, list(mask)], q[f, list(mask)] = [s[:3] for s in states], [s[6:] for s in states]
     assert len(recorded) == 126  # every camera frame of [0, 2.5] s
     assert_stacks_match_one_graph_solves(masks, p, q)
     # the run's rows and flags are the one-graph solves', frame by frame

@@ -331,25 +331,44 @@ def test_raw_series_equal_per_tick_reference(name, monkeypatch):
 
 
 def test_singular_innovation_skips_one_update(monkeypatch):
-    from relpose.eskf import SingularInnovation
-
+    # on the 40th update every solve of S fails, as a singular S makes it
     update = relpose.eskf.update
     calls = []
 
-    def singular_once(state, belief, z):
-        calls.append(z.t)
-        if len(calls) == 40:
-            calls.append(state)
-            raise SingularInnovation("Singular matrix")
-        return update(state, belief, z)
+    def singular_solve(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    def singular_once(bank, measured):
+        calls.append(bank.x[0])
+        if len(calls) != 40:
+            return update(bank, measured)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "solve", singular_solve)
+            fix = update(bank, measured)
+        assert fix.singular == [0] and fix.rows == []
+        return fix
 
     monkeypatch.setattr(relpose.eskf, "update", singular_once)
     res = run_scenario(small_config(duration=2.0))
-    t_bad, prior = calls[39], calls[40]
+    prior = calls[39]
     ser = res.eskf[(0, 1)]
-    assert max(ser.t) > t_bad + 0.5  # the run went on past the bad tick
-    (k,) = np.flatnonzero(ser.t == t_bad)  # that tick is recorded, from the prior
-    assert np.array_equal(ser.p[k], prior.p)
+    (k,) = np.flatnonzero((ser.p == prior[:3]).all(axis=1))  # that tick is recorded, from the prior
+    assert np.array_equal(ser.v[k], prior[3:6])
+    assert max(ser.t) > ser.t[k] + 0.5  # the run went on past the bad tick
+
+
+def _predicted(bank_predict, log):
+    """bank_predict, logging (pair, A's row, B's row) of each pair it steps:
+    the pairs whose state it replaces."""
+
+    def recorded(bank, rows, dt):
+        before = list(bank.x)
+        bank_predict(bank, rows, dt)
+        for n, (a, b) in enumerate(bank.pairs):
+            if bank.x[n] is not before[n]:
+                log.append((n, rows[a], rows[b]))
+
+    return recorded
 
 
 def test_each_pair_predicts_once_per_imu_tick_from_both_rows(monkeypatch):
@@ -362,30 +381,28 @@ def test_each_pair_predicts_once_per_imu_tick_from_both_rows(monkeypatch):
             {"id": 2, "trajectory": {"kind": "static", "center": [2, 3, 1]}},
         ],
     )
-    chunk_of, predict = World._chunk, relpose.eskf.predict
+    chunk_of = World._chunk
     chunks, inputs = [], []
 
     def kept(self, grid, k0, k1):
         chunks.append(chunk_of(self, grid, k0, k1))
         return chunks[-1]
 
-    def recorded(state, belief, u):
-        inputs.append(u)
-        return predict(state, belief, u)
-
     monkeypatch.setattr(World, "_chunk", kept)
-    monkeypatch.setattr(relpose.eskf, "predict", recorded)
+    monkeypatch.setattr(relpose.eskf, "predict", _predicted(relpose.eskf.predict, inputs))
     res = run_scenario(cfg)
     assert all(len(ser.t) for ser in res.eskf.values())
     # every noisy IMU row on the tape is distinct: a row names its robot and tick
     tape = np.concatenate([c.imu for c in chunks], axis=1)
     t_imu = np.concatenate([c.t[c.imu_row >= 0] for c in chunks])
     row_of = {row.tobytes(): (i, k) for i, rows in enumerate(tape) for k, row in enumerate(rows)}
+    pairs = list(res.eskf)
     got = Counter()
-    for u in inputs:
-        tgt, k = row_of[np.concatenate((u.a_ma, u.w_ma)).tobytes()]
-        obs, k_own = row_of[np.concatenate((u.a_mb, u.w_mb)).tobytes()]
+    for n, row_a, row_b in inputs:
+        tgt, k = row_of[np.array(row_a).tobytes()]
+        obs, k_own = row_of[np.array(row_b).tobytes()]
         assert k_own == k
+        assert pairs[n] == (obs, tgt)
         got[(obs, tgt), k] += 1
     # robot index = robot id here; a filter predicts from the IMU tick after its first row
     want = Counter({(pair, k): 1 for pair, ser in res.eskf.items() for k in np.flatnonzero(t_imu > ser.t[0])})
@@ -395,7 +412,7 @@ def test_each_pair_predicts_once_per_imu_tick_from_both_rows(monkeypatch):
 def test_non_finite_imu_row_skips_the_prediction(tmp_path, monkeypatch):
     cfg = config_from_dict(json.loads((SCENARIOS / "two_robot_manual.json").read_text()))
     cfg.duration = 3.0
-    imu_of, predict = World._imu, relpose.eskf.predict
+    imu_of = World._imu
     bad = int(round(0.05 * cfg.imu_rate))  # the IMU row at 0.05 s
     poisoned, inputs = [], []
 
@@ -406,19 +423,15 @@ def test_non_finite_imu_row_skips_the_prediction(tmp_path, monkeypatch):
             poisoned.append(bad)
         return out
 
-    def recorded(state, belief, u):
-        inputs.append(u)
-        return predict(state, belief, u)
-
     monkeypatch.setattr(World, "_imu", one_nan_sample)
-    monkeypatch.setattr(relpose.eskf, "predict", recorded)
+    monkeypatch.setattr(relpose.eskf, "predict", _predicted(relpose.eskf.predict, inputs))
     res = run_scenario(cfg)
     ser = res.eskf[(0, 1)]
     assert poisoned and ser.t[0] < bad / cfg.imu_rate  # the filter runs when the bad row comes
     assert len(ser.t) == 301
     for name in ("p", "v", "q", "P_diag"):
         assert np.isfinite(getattr(ser, name)).all(), name
-    assert all(np.isfinite(np.concatenate((u.a_ma, u.a_mb))).all() for u in inputs)
+    assert all(np.isfinite(row_a + row_b).all() for _, row_a, row_b in inputs)
     t_imu = np.arange(int(round(cfg.duration * cfg.imu_rate)) + 1) / cfg.imu_rate
     assert len(inputs) == np.count_nonzero(t_imu > ser.t[0]) - 1  # one prediction skipped
     write_outputs(res, tmp_path)
