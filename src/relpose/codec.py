@@ -54,6 +54,10 @@ class IdLibrary:
 
 
 MIN_PERIODS = 3  # whole periods a track must span before decoding
+# whole periods an undecoded track keeps: more than twice the longest span a
+# track needed to decode on two_robot_auto, seeds 0-4 (4.4 periods), so that
+# a spot which never decodes costs each frame a bounded time and memory
+KEEP_PERIODS = 10
 GATE_PX = 25.0  # farthest a spot moves between two frames and keeps its track
 
 
@@ -61,7 +65,8 @@ GATE_PX = 25.0  # farthest a spot moves between two frames and keeps its track
 class SpotTrack:
     """One tracked image spot: (t, pixel, lit) samples plus its decoded ID.
 
-    Once the ID is decoded, `SpotTracker` keeps only the latest sample.
+    Until the ID is decoded, `SpotTracker` keeps the samples of the last
+    KEEP_PERIODS periods; once it is decoded, only the latest sample.
     """
 
     track_id: int
@@ -202,4 +207,8 @@ class SpotTracker:
             if tr.decoded_id is not None:
                 del tr.samples[:-1]  # a decoded track is never decoded again
                 out[tr.decoded_id] = tid
+            else:
+                horizon = tr.last_t - KEEP_PERIODS * self.lib.period
+                while tr.samples[0][0] < horizon:
+                    del tr.samples[0]
         return out

@@ -33,9 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import rotmat_from_rotvec, skew
-from .rawpose import RawPoseMeasurement
-
 # chi^2 inverse CDF at 0.999 with 9 dof, for innovation gating
 CHI2_9_999 = 27.877164871256568
 
@@ -51,31 +48,6 @@ INIT_P = np.diag([0.25] * 3 + [0.1] * 3 + [np.deg2rad(5.0) ** 2] * 6)
 # components, ROT_SIGMA on the rotation residual, uncorrelated
 ROT_SIGMA = np.deg2rad(1.5)
 _ROT_VAR = ROT_SIGMA**2
-
-
-@dataclass
-class NominalState:
-    """One pair's nominal state as arrays, for the Jacobian checks."""
-
-    p: np.ndarray
-    v: np.ndarray
-    q: np.ndarray
-    t: float = 0.0
-
-
-@dataclass
-class ImuPairInput:
-    """Both robots' IMU samples over one step, for the Jacobian checks."""
-
-    a_ma: Sequence[float]  # A's specific force, body frame, m/s^2
-    w_ma: Sequence[float]  # A's angular rate, rad/s
-    a_mb: Sequence[float]
-    w_mb: Sequence[float]
-    dt: float
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
 
 
 # -- float-level kernel ------------------------------------------------------
@@ -234,15 +206,6 @@ class FilterBank:
             self.P[rows] = P
 
 
-def _row(a: Sequence[float], w: Sequence[float]) -> list:
-    """One robot's IMU row: specific force, then angular rate, as 6 floats."""
-    return [*map(float, a), *map(float, w)]
-
-
-def _floats(state: NominalState) -> tuple:
-    return (*state.p.tolist(), *state.v.tolist(), *state.q.tolist())
-
-
 # -- propagation --------------------------------------------------------------
 
 # Fx and Fi from their blocks, in the order `_propagate` and `compute_Fi` list them
@@ -313,21 +276,21 @@ def predict(bank: FilterBank, rows: Sequence, dt: float) -> None:
         bank._put(on, P)
 
 
-def compute_Fx(state: NominalState, u: ImuPairInput) -> np.ndarray:
-    """Discrete error-state transition Jacobian, as `predict` propagates with."""
-    f = _propagate(_floats(state), _row(u.a_ma, u.w_ma), _row(u.a_mb, u.w_mb), u.dt)[1]
-    return _Fx(f, 1)[0].T
+def compute_Fx(x: Sequence[float], ra: Sequence[float], rb: Sequence[float], dt: float) -> np.ndarray:
+    """Discrete error-state transition Jacobian of one pair's state x (10 floats)
+    over IMU rows ra and rb (6 floats each), as `predict` propagates with."""
+    return _Fx(_propagate(x, ra, rb, dt)[1], 1)[0].T
 
 
-def compute_Fi(state: NominalState, u: ImuPairInput) -> np.ndarray:
-    """Jacobian w.r.t. the input noise [a_nA, w_nA, a_nB, w_nB]; `predict` adds
-    its Fi QI Fi' as a constant diagonal (`_input_noise`)."""
-    dt = u.dt
-    wx, wy, wz = u.w_mb
+def compute_Fi(q: Sequence[float], rb: Sequence[float], dt: float) -> np.ndarray:
+    """Jacobian w.r.t. the input noise [a_nA, w_nA, a_nB, w_nB] of a pair with
+    nominal quaternion q over B's IMU row rb; `predict` adds its Fi QI Fi' as a
+    constant diagonal (`_input_noise`)."""
+    wx, wy, wz = rb[3:6]
     Rb_T_dt = _scaled(_rot(_qexp(wx * dt, wy * dt, wz * dt), transpose=True), dt)
     m_dt = (-dt, 0.0, 0.0, 0.0, -dt, 0.0, 0.0, 0.0, -dt)
     return _Fi(
-        _scaled(_mat(Rb_T_dt, _rot(state.q.tolist())), -1.0)  # accel noise of A
+        _scaled(_mat(Rb_T_dt, _rot(q)), -1.0)  # accel noise of A
         + m_dt  # gyro noise of A
         + Rb_T_dt  # accel noise of B
         + m_dt,  # gyro noise of B
@@ -370,18 +333,10 @@ def _measure(x: tuple, z: Sequence[float]) -> tuple:
     )
 
 
-def _z(z: RawPoseMeasurement) -> list:
-    return [*z.p_ba.tolist(), *z.p_ab.tolist(), *z.q_ba.tolist()]
-
-
-def compute_H(state: NominalState) -> np.ndarray:
-    """9x12 measurement Jacobian w.r.t. the error state at delta = 0."""
-    return _H(_measure(_floats(state), _ORIGIN), 1)[0][0].T
-
-
-def innovation(state: NominalState, z: RawPoseMeasurement) -> np.ndarray:
-    """9-vector residual z ⊖ h(x): positions subtract, rotations compose."""
-    return np.array(_measure(_floats(state), _z(z))[54:63])
+def compute_H(x: Sequence[float]) -> np.ndarray:
+    """9x12 measurement Jacobian w.r.t. the error state at delta = 0, of one
+    pair's state x (10 floats)."""
+    return _H(_measure(x, _ORIGIN), 1)[0][0].T
 
 
 @dataclass(slots=True)
@@ -480,18 +435,7 @@ def inject_and_reset(bank: FilterBank, fix: Correction) -> None:
     bank._put(fix.rows, 0.5 * (P + P.swapaxes(1, 2)))
 
 
-def reset_map(delta: np.ndarray, delta_hat: np.ndarray) -> np.ndarray:
-    """Remap an error-state sample after injecting delta_hat."""
-    dth_a_hat, dth_b_hat = delta_hat[6:9], delta_hat[9:12]
-    out = np.empty(12)
-    Rb_T = rotmat_from_rotvec(dth_b_hat).T
-    out[0:3] = Rb_T @ (delta[0:3] - delta_hat[0:3])
-    out[3:6] = Rb_T @ (delta[3:6] - delta_hat[3:6])
-    out[6:9] = -dth_a_hat + (np.eye(3) - skew(0.5 * dth_a_hat)) @ delta[6:9]
-    out[9:12] = -dth_b_hat + (np.eye(3) - skew(0.5 * dth_b_hat)) @ delta[9:12]
-    return out
-
-
-def reset_jacobian(delta_hat: np.ndarray) -> np.ndarray:
-    """Jacobian of reset_map w.r.t. delta, as `inject_and_reset` remaps P with."""
-    return _G(_inject(_ORIGIN, delta_hat.tolist())[1], 1)[0].T
+def reset_jacobian(delta: Sequence[float]) -> np.ndarray:
+    """Jacobian of the error-state remap after injecting delta (12 floats), as
+    `inject_and_reset` remaps P with."""
+    return _G(_inject(_ORIGIN, delta)[1], 1)[0].T

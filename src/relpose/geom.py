@@ -94,11 +94,6 @@ def rotmats_from_quats(q) -> np.ndarray:
     return np.ascontiguousarray(R.transpose(2, 0, 1))
 
 
-def quat_from_rotmat(R) -> np.ndarray:
-    """Shepperd's method; returns the w >= 0 representative."""
-    return quats_from_rotmats(R)[0]
-
-
 def quats_from_rotmats(R) -> np.ndarray:
     """Unit quaternions (n, 4), w >= 0, of the rotations R (n, 3, 3) by Shepperd's method.
 
@@ -208,28 +203,6 @@ class Pose:
     def inverse(self) -> "Pose":
         Rt = self.R.T
         return Pose(Rt, -Rt @ self.t)
-
-    def orthonormalized(self) -> "Pose":
-        # project R back onto SO(3) via SVD
-        u, _, vt = np.linalg.svd(self.R)
-        R = u @ vt
-        if np.linalg.det(R) < 0:
-            R = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-        return Pose(R, self.t.copy())
-
-
-def se3_exp(xi) -> Pose:
-    """Exponential of a twist [rho(3), theta(3)] onto SE(3)."""
-    xi = np.asarray(xi, dtype=float)
-    rho, theta = xi[:3], xi[3:]
-    R = rotmat_from_rotvec(theta)
-    a = np.linalg.norm(theta)
-    if a < 1e-8:
-        V = np.eye(3) + 0.5 * skew(theta)
-    else:
-        K = skew(theta / a)
-        V = np.eye(3) + ((1 - np.cos(a)) / a) * K + ((a - np.sin(a)) / a) * (K @ K)
-    return Pose(R, V @ rho)
 
 
 def rotation_angle_deg(R):

@@ -31,7 +31,7 @@ _GEN[5, 1, 0], _GEN[5, 0, 1] = 1.0, -1.0  # rot z
 _SKEW = _GEN[3:, :3, :3].reshape(3, 9)  # [v]x = v @ _SKEW
 _EYE3 = np.eye(3)
 _DIAG4 = np.arange(4)
-_SMALL_ANGLE = (1.0, 0.5, 0.5, 0.0)  # the se3_exp coefficients below 1e-8 rad
+_SMALL_ANGLE = (1.0, 0.5, 0.5, 0.0)  # below 1e-8 rad: the first-order coefficients of the reference se3_exp
 
 HUBER_DELTA = 0.5  # residual r2 above which an edge's loss turns linear in sqrt(r2)
 MAX_ITERS = 25  # LM iterations per solve
@@ -102,11 +102,13 @@ def _robust_cost(r2: np.ndarray, delta: float) -> np.ndarray:
 
 
 def _se3_exp(xi: np.ndarray) -> np.ndarray:
-    """(n, 4, 4) homogeneous matrices of `geom.se3_exp` of each row of xi (n, 6).
+    """(n, 4, 4) homogeneous matrices of the SE(3) exponential of each twist
+    [rho, theta] in the rows of xi (n, 6), as `se3_exp` in the test reference
+    (`tests/estimator_reference.py`) takes it for one twist.
 
     With K = [theta / a]x and a = |theta|: R = I + sin(a) K + (1 - cos a) K^2
     and t = (I + (1 - cos a)/a K + (a - sin a)/a K^2) rho. Below 1e-8 rad,
-    K = [theta]x and both maps are taken to first order, as `geom` does.
+    K = [theta]x and both maps are taken to first order, as the reference does.
     """
     n = len(xi)
     theta = xi[:, 3:]

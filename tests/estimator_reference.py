@@ -7,11 +7,15 @@ that the structured code in `relpose.eskf` and `relpose.pgo` must match, and
 they read the same noise, gate and solver constants from those modules.
 `edges_from_filters` builds one frame's pose graph from `Pose` objects, as
 the runner did before it stacked a chunk's graphs (`pgo.initial_stack`), and
-`stack_of_one` hands such a graph to `pgo.solve`.
+`stack_of_one` hands such a graph to `pgo.solve`. `se3_exp` and
+`orthonormalized` are the one-pose retraction the reference solve takes, and
+that `pgo` takes for a stack of poses.
 
-The reference filter works on one pair's `NominalState` and `ErrorBelief`;
-`bank_of_one`, `state_of`, `imu_rows` and `z_floats` move a pair between
-those and a `relpose.eskf.FilterBank` of one.
+The reference filter works on one pair's `NominalState` (arrays p, v, q),
+`ErrorBelief` and `ImuPairInput`. The filter bank keeps a pair's state as 10
+floats and each robot's IMU row as 6: `floats`, `bank_of_one`, `state_of`,
+`imu_rows` and `z_floats` move a pair, its inputs and its measurements
+between the two forms.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +28,6 @@ from relpose.eskf import (
     GYRO_VAR,
     ROT_SIGMA,
     FilterBank,
-    NominalState,
 )
 from relpose.geom import (
     Pose,
@@ -35,10 +38,31 @@ from relpose.geom import (
     rotmat_from_quat,
     rotmat_from_rotvec,
     rotvec_from_quat,
-    se3_exp,
     skew,
 )
 from relpose.pgo import _GEN, HUBER_DELTA, MAX_ITERS, REL_TOL, _Edges, residual
+
+
+@dataclass
+class NominalState:
+    """One pair's nominal state as arrays."""
+
+    p: np.ndarray
+    v: np.ndarray
+    q: np.ndarray
+    t: float = 0.0
+
+
+@dataclass
+class ImuPairInput:
+    """Both robots' IMU samples over one step of dt."""
+
+    a_ma: np.ndarray  # A's specific force, body frame, m/s^2
+    w_ma: np.ndarray  # A's angular rate, rad/s
+    a_mb: np.ndarray
+    w_mb: np.ndarray
+    dt: float
+
 
 @dataclass
 class ErrorBelief:
@@ -50,10 +74,15 @@ class SingularInnovation(np.linalg.LinAlgError):
     """HPH' + V not invertible."""
 
 
+def floats(state) -> tuple:
+    """A `NominalState` as the 10 floats (p, v, q) the filter bank keeps."""
+    return (*state.p.tolist(), *state.v.tolist(), *state.q.tolist())
+
+
 def bank_of_one(state, P) -> FilterBank:
     """A bank whose one pair (A's IMU row 0, B's row 1) has this state and P."""
     bank = FilterBank([(0, 1)])
-    bank.x[0] = (*state.p.tolist(), *state.v.tolist(), *state.q.tolist())
+    bank.x[0] = floats(state)
     bank.P[0] = P
     return bank
 
@@ -188,6 +217,29 @@ def inject_and_reset(state, belief):
     return new_state, ErrorBelief(np.zeros(12), 0.5 * (P + P.T))
 
 
+def se3_exp(xi) -> Pose:
+    """Exponential of a twist [rho(3), theta(3)] onto SE(3)."""
+    xi = np.asarray(xi, dtype=float)
+    rho, theta = xi[:3], xi[3:]
+    R = rotmat_from_rotvec(theta)
+    a = np.linalg.norm(theta)
+    if a < 1e-8:
+        V = np.eye(3) + 0.5 * skew(theta)
+    else:
+        K = skew(theta / a)
+        V = np.eye(3) + ((1 - np.cos(a)) / a) * K + ((a - np.sin(a)) / a) * (K @ K)
+    return Pose(R, V @ rho)
+
+
+def orthonormalized(T: Pose) -> Pose:
+    """T with its rotation projected back onto SO(3) by SVD."""
+    u, _, vt = np.linalg.svd(T.R)
+    R = u @ vt
+    if np.linalg.det(R) < 0:
+        R = u @ np.diag([1.0, 1.0, -1.0]) @ vt
+    return Pose(R, T.t.copy())
+
+
 @dataclass
 class Edge:
     i: int
@@ -302,7 +354,7 @@ def solve(graph):
             trial = dict(poses)
             for n in free:
                 k = idx[n]
-                trial[n] = poses[n].compose(se3_exp(step[6 * k : 6 * k + 6])).orthonormalized()
+                trial[n] = orthonormalized(poses[n].compose(se3_exp(step[6 * k : 6 * k + 6])))
             trial_cost = robust_cost(edges, trial)
             if trial_cost < cost:
                 poses = trial

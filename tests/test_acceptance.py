@@ -17,9 +17,9 @@ from relpose.eskf import FilterBank, inject_and_reset, predict, update
 from relpose.geom import (
     euler_zyx_from_quat,
     quat_from_euler_zyx,
-    quat_from_rotmat,
     quat_from_rotvec,
     quat_mul,
+    quats_from_rotmats,
     rotmat_from_quat,
 )
 from relpose.rawpose import raw_estimate
@@ -64,7 +64,7 @@ def test_noiseless_raw_pose_oracle():
         roll_b, pitch_b, _ = euler_zyx_from_quat(q_b)
         rows.append((
             R_b.T @ dir_w, -(R_a.T @ dir_w), d, (roll_a, pitch_a), (roll_b, pitch_b),
-            R_b.T @ (p_a - p_b), quat_from_rotmat(R_b.T @ R_a),
+            R_b.T @ (p_a - p_b), quats_from_rotmats(R_b.T @ R_a)[0],
         ))
     z = raw_estimate(*(np.array([row[k] for row in rows]) for k in range(5)))
     n = int(z.ok.sum())

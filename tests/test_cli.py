@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relpose
+import relpose.checks
 import relpose.cli
 from relpose import pgo
 from relpose.bench import bench
@@ -221,6 +223,36 @@ def test_check_jacobians_subcommand(capsys):
     for name in ("Fx", "Fi", "H", "G"):
         assert name in out
     assert "FAIL" not in out
+
+
+def _with_nan(fn, entry):
+    def patched(*args):
+        J = fn(*args)
+        J[entry] = np.nan
+        return J
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "target,name,entry",
+    [
+        ("compute_Fx", "Fx", (4, 7)),  # one NaN in the analytic matrix
+        ("compute_Fx", "Fx", slice(None)),  # every entry NaN
+        ("measurement_map", "H", 2),  # NaN in the map the FD side differentiates
+    ],
+    ids=["analytic_entry", "analytic_all", "finite_difference"],
+)
+def test_check_jacobians_fails_on_nan(monkeypatch, capsys, target, name, entry):
+    # a NaN used to leave the running maximum where it was, so the check passed
+    monkeypatch.setattr(relpose.checks, target, _with_nan(getattr(relpose.checks, target), entry))
+    worst = check_jacobians(5, 0)
+    assert worst[name] == np.inf
+    assert all(worst[k] < 1e-6 for k in worst if k != name)
+    assert main(["check-jacobians", "--states", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"{name}: max rel. error inf  [FAIL]" in lines
+    assert sum("[FAIL]" in line for line in lines) == 1
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from relpose.codec import (
     GATE_PX,
+    KEEP_PERIODS,
     MIN_PERIODS,
     IdLibrary,
     SpotTrack,
@@ -192,3 +195,21 @@ def test_decoded_track_keeps_only_its_last_sample():
     assert decoded == {4: 0}
     (track,) = tracker.tracks.values()
     assert track.samples == [(t, (320.0, 240.0), lit)]
+
+
+def test_undecoded_track_keeps_a_bounded_window():
+    # a reflection lit in every frame never decodes: its track keeps only the
+    # last KEEP_PERIODS periods, so each frame costs the same however long it
+    # has been seen (it held every sample and each frame re-read all of them)
+    lib = IdLibrary()
+    tracker = SpotTracker(lib)
+    rate, seconds = 200.0, 120
+    bound = KEEP_PERIODS * lib.period * rate + 1
+    per_10s = []
+    for k in range(int(seconds * rate) + 1):
+        if k % 2000 == 0:
+            per_10s.append(time.process_time())
+        assert tracker.step(k / rate, [(320.0, 240.0, True)]) == {}
+        assert len(tracker.tracks[0].samples) <= bound
+    first, last = per_10s[1] - per_10s[0], per_10s[-1] - per_10s[-2]
+    assert last < 5.0 * first, (first, last)

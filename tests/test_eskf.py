@@ -7,25 +7,35 @@ from relpose.eskf import (
     ROT_SIGMA,
     Correction,
     FilterBank,
-    ImuPairInput,
-    NominalState,
     compute_Fi,
     compute_Fx,
     compute_H,
     inject_and_reset,
-    innovation,
     predict,
     reset_jacobian,
-    reset_map,
     update,
 )
-from estimator_reference import ErrorBelief, bank_of_one, imu_rows, state_of, true_state, z_floats
+from estimator_reference import (
+    ErrorBelief,
+    ImuPairInput,
+    NominalState,
+    bank_of_one,
+    floats,
+    imu_rows,
+    innovation,
+    state_of,
+    true_state,
+    z_floats,
+)
+from relpose.checks import measurement_map, reset_map
 from relpose.geom import (
+    quat_conj,
     quat_from_euler_zyx,
     quat_from_rotvec,
     quat_mul,
     quat_normalize,
     rotmat_from_quat,
+    rotvec_from_quat,
 )
 from relpose.rawpose import RawPoseMeasurement
 from quat_helpers import quat_angle_between
@@ -104,11 +114,13 @@ def test_predict_constant_angular_rate_rotates_frame():
     assert quat_angle_between(state.q, quat_from_rotvec(-w)) < 1e-3
 
 
-def test_innovation_zero_at_truth():
+def test_update_at_exact_measurement_gives_zero_delta():
     state = random_state()
     Rq = rotmat_from_quat(state.q)
     z = RawPoseMeasurement(p_ba=state.p.copy(), p_ab=-Rq.T @ state.p, q_ba=state.q.copy())
-    assert np.allclose(innovation(state, z), 0.0, atol=1e-12)
+    fix = update(bank_of_one(state, INIT_P), [(0, z_floats(z))])
+    assert fix.rows == [0]
+    assert np.allclose(fix.delta[0], 0.0, atol=1e-12)
 
 
 def test_update_pulls_toward_measurement():
@@ -127,7 +139,7 @@ def test_update_pulls_toward_measurement():
 
 def nis(state, belief, z):
     """y' S^-1 y with S = H P H' + V, V built here from its stated sigmas."""
-    H = compute_H(state)
+    H = compute_H(floats(state))
     sp = max(0.05, 0.02 * np.linalg.norm(z.p_ba))
     S = H @ belief.P @ H.T + np.diag([sp**2] * 6 + [ROT_SIGMA**2] * 3)
     y = innovation(state, z)
@@ -238,24 +250,23 @@ def test_reset_jacobian_identity_at_zero():
 
 
 def test_compute_H_against_finite_differences():
-    from relpose.checks import measurement_map
-
-    state = random_state()
-    H = compute_H(state)
+    x = np.array(floats(random_state()))
+    H = compute_H(x.tolist())
     h = 1e-6
     J_fd = np.zeros((9, 12))
     for k in range(12):
         e = np.zeros(12)
         e[k] = h
-        J_fd[:, k] = (measurement_map(state, e) - measurement_map(state, -e)) / (2 * h)
+        J_fd[:, k] = (measurement_map(x, e) - measurement_map(x, -e)) / (2 * h)
     assert np.max(np.abs(H - J_fd)) < 1e-6
 
 
 def test_Fx_Fi_shapes_and_structure():
     state = random_state()
     u = random_input()
-    Fx = compute_Fx(state, u)
-    Fi = compute_Fi(state, u)
+    ra, rb = imu_rows(u)
+    Fx = compute_Fx(floats(state), ra, rb, u.dt)
+    Fi = compute_Fi(state.q.tolist(), rb, u.dt)
     assert Fx.shape == (12, 12) and Fi.shape == (12, 12)
     # position error never reacts directly to IMU noise within a step
     assert np.allclose(Fi[0:3, :], 0.0)
@@ -263,14 +274,41 @@ def test_Fx_Fi_shapes_and_structure():
     assert np.allclose(Fx[0:3, 6:9], 0.0)
 
 
-def test_singular_innovation_raised():
+def test_Fx_linearizes_the_step_predict_takes():
+    # predict(x (+) delta) against predict(x) (+) Fx delta: what is left of a
+    # small delta is the truncation of the first-order discretization, which
+    # falls as dt^2; a wrong block of Fx would leave an O(dt) mismatch
+    rng = np.random.default_rng(18)
+
+    def step(state, rows, dt):
+        bank = bank_of_one(state, INIT_P)
+        predict(bank, rows, dt)
+        return state_of(bank)
+
+    for _ in range(3):
+        state = random_state(rng)
+        rows = imu_rows(random_input(rng))
+        d = rng.normal(size=12)
+        d *= 1e-4 / np.linalg.norm(d)
+        mismatch = []
+        for dt in (0.02, 0.01, 0.005, 0.0025):
+            moved = step(true_state(state, ErrorBelief(d, None)), rows, dt)
+            x1 = step(state, rows, dt)
+            linear = true_state(x1, ErrorBelief(compute_Fx(floats(state), *rows, dt) @ d, None))
+            rot = rotvec_from_quat(quat_mul(quat_conj(moved.q), linear.q))
+            mismatch.append(np.linalg.norm([*(moved.p - linear.p), *(moved.v - linear.v), *rot]) / 1e-4)
+        ratios = np.array(mismatch[:-1]) / mismatch[1:]
+        assert np.all((ratios > 3.5) & (ratios < 4.5)), (mismatch, ratios)
+
+
+def test_singular_innovation_keeps_prior():
     # with p = 0 and q = identity the rotation rows of H are [0 0 I -I], so
     # P's theta_A block -ROT_SIGMA^2 I cancels the rotation noise in S exactly
     state = NominalState(p=np.zeros(3), v=np.zeros(3), q=np.array([1.0, 0, 0, 0]))
     P = np.zeros((12, 12))
     P[6:9, 6:9] = -(ROT_SIGMA**2) * np.eye(3)
     z = RawPoseMeasurement(p_ba=np.zeros(3), p_ab=np.zeros(3), q_ba=state.q.copy())
-    H = compute_H(state)
+    H = compute_H(floats(state))
     assert np.array_equal((H @ P @ H.T)[6:9, 6:9], -(ROT_SIGMA**2) * np.eye(3))
     bank = bank_of_one(state, P)
     x = bank.x[0]
@@ -301,7 +339,7 @@ def test_filter_takes_imu_rows_as_lists_or_arrays():
     assert not np.array_equal(arrays.x[0][:3], z[:3])  # the filter moved
 
 
-def test_filter_wrapper_lifecycle():
+def test_pair_starts_at_its_first_measurement():
     bank = FilterBank([(0, 1)])
     assert bank.x == [None]
     u = random_input()
@@ -314,7 +352,7 @@ def test_filter_wrapper_lifecycle():
     assert np.array_equal(bank.P[0], INIT_P)
 
 
-def test_init_from_raw_copies():
+def test_first_measurement_is_copied_into_the_bank():
     z = [1.0, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
     bank = FilterBank([(0, 1), (0, 1)])
     update(bank, [(1, z)])
@@ -323,11 +361,6 @@ def test_init_from_raw_copies():
     assert not bank.P[0].any() and np.array_equal(bank.P[1], INIT_P)
     bank.P[1, 0, 0] = 5.0
     assert INIT_P[0, 0] == 0.25  # the bank holds its own copy
-
-
-def test_imu_input_validation():
-    with pytest.raises(ValueError):
-        ImuPairInput(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), dt=0.0)
 
 
 # -- the bank: each pair's walk is its walk alone ---------------------------------

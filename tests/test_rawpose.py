@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relpose.geom import euler_zyx_from_quat, quat_from_euler_zyx, quat_from_rotmat, rotmat_from_quat
+from relpose.geom import euler_zyx_from_quat, quat_from_euler_zyx, quats_from_rotmats, rotmat_from_quat
 from relpose.rawpose import (
     ACCEPTED,
     GIMBAL_LOCK,
@@ -149,7 +149,7 @@ def test_raw_estimate_full_pose():
     assert out.reason.tolist() == [ACCEPTED]
     assert np.allclose(out.p_ba[0], R_b.T @ (p_a - p_b), atol=1e-9)
     assert np.allclose(out.p_ab[0], R_a.T @ (p_b - p_a), atol=1e-9)
-    assert quats_equal_as_rotations(out.q_ba[0], quat_from_rotmat(R_b.T @ R_a), tol=1e-9)
+    assert quats_equal_as_rotations(out.q_ba[0], quats_from_rotmats(R_b.T @ R_a)[0], tol=1e-9)
     assert out.q_ba[0, 0] >= 0.0
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relpose.codec
 import relpose.eskf
 import relpose.runner
 from relpose.codec import GATE_PX, SpotTracker
@@ -63,6 +64,20 @@ def test_run_codec_mode_decodes_then_estimates():
     # codec needs a few periods before the first decode
     assert res.raw[(0, 1)].t[0] >= 3 * 0.05 - 1e-9
     assert res.metrics["pairs"]["0-1"]["median_pos_m"] < 0.2
+
+
+def test_bounded_undecoded_tracks_change_no_output(tmp_path, monkeypatch):
+    # every beacon of the bundled codec run decodes within KEEP_PERIODS
+    # periods, so bounding undecoded tracks changes no byte of its outputs
+    config_dict = json.loads((SCENARIOS / "two_robot_auto.json").read_text())
+    cfg = config_from_dict(config_dict)
+    write_outputs(run_scenario(cfg), tmp_path / "bounded", config_dict)
+    monkeypatch.setattr(relpose.codec, "KEEP_PERIODS", 10**9)
+    write_outputs(run_scenario(cfg), tmp_path / "unbounded", config_dict)
+    names = sorted(p.name for p in (tmp_path / "bounded").iterdir())
+    assert "raw_0_1.csv" in names and names == sorted(p.name for p in (tmp_path / "unbounded").iterdir())
+    for name in names:
+        assert (tmp_path / "bounded" / name).read_bytes() == (tmp_path / "unbounded" / name).read_bytes(), name
 
 
 def test_run_estimator_raw_skips_filters():
