@@ -16,5 +16,5 @@ Layers, bottom up:
 __version__ = "0.1.0"
 
 from .geom import Pose  # noqa: F401
-from .rawpose import RawPoseMeasurement, raw_estimate  # noqa: F401
+from .rawpose import raw_estimate  # noqa: F401
 from .eskf import FilterBank  # noqa: F401

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geom import dot_rows
+
 
 class OutOfImage(ValueError):
     """Point not representable: model validity or FOV cone violated."""
@@ -63,12 +65,11 @@ def ds_project_array(p_cam, k: DsIntrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Pixels (n, 2) of camera-frame points (n, 3), and a mask (n,) of the points
     the model images: off the camera center, valid, and inside the FOV cone.
 
-    Rows off the mask are nan. Each norm is a per-row dot product through
-    matmul, as `np.linalg.norm` takes it for one point, so every row equals
-    the projection of that point alone bit for bit.
+    Rows off the mask are nan. Norms are row-wise dot products (`geom.dot_rows`),
+    so every row equals the projection of that point alone bit for bit.
     """
     p = np.asarray(p_cam, dtype=float).reshape(-1, 3)
-    d1 = np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0, 0]
+    d1 = np.sqrt(dot_rows(p, p))
     z = p[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         # the camera center fails the validity condition (0 <= 0)
@@ -97,9 +98,8 @@ def ds_unproject(uv, k: DsIntrinsics) -> tuple[np.ndarray, np.ndarray]:
     inside the model's unprojectable region.
 
     Rows off the mask (outside the unprojectable disk, or not finite) are nan.
-    Each norm is a per-row dot product through matmul, as `np.linalg.norm`
-    takes it for one ray, so every row equals the unprojection of that pixel
-    alone bit for bit.
+    Norms are row-wise dot products (`geom.dot_rows`), so every row equals the
+    unprojection of that pixel alone bit for bit.
     """
     uv = np.asarray(uv, dtype=float).reshape(-1, 2)
     mx = (uv[:, 0] - k.cx) / k.fx
@@ -114,5 +114,5 @@ def ds_unproject(uv, k: DsIntrinsics) -> tuple[np.ndarray, np.ndarray]:
     coeff = (mz * k.xi + np.sqrt(mz * mz + (1.0 - k.xi * k.xi) * r2)) / (mz * mz + r2)
     ray = coeff[:, None] * np.column_stack((mx, my, mz)) - np.array([0.0, 0.0, k.xi])
     out = np.full((uv.shape[0], 3), np.nan)
-    out[ok] = ray / np.sqrt(ray[:, None, :] @ ray[:, :, None])[:, 0]
+    out[ok] = ray / np.sqrt(dot_rows(ray, ray))[:, None]
     return out, ok

@@ -96,6 +96,9 @@ def _random_state_input(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarra
     return x, ra, rb
 
 
+TOLERANCE = 1e-4  # the largest relative FD error a Jacobian passes with
+
+
 def check_jacobians(n_states: int = 50, seed: int = 0) -> dict[str, float]:
     """Max relative FD error per Jacobian over n_states random states (at least
     one); a non-finite entry counts as an infinite error."""

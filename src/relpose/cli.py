@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bench import bench
-from .checks import check_jacobians
+from .checks import TOLERANCE, check_jacobians
 from .runner import build_world, export_ground_truth, run_scenario, write_outputs
 from .scenario import ConfigError, ScenarioConfig, config_from_dict, read_config
 
@@ -57,12 +57,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_check_jacobians(args) -> int:
     worst = check_jacobians(n_states=args.states, seed=args.seed)
-    ok = True
+    passed = {name: err <= TOLERANCE for name, err in worst.items()}
     for name in ("Fx", "Fi", "H", "G"):
-        status = "ok" if worst[name] <= args.threshold else "FAIL"
-        ok = ok and worst[name] <= args.threshold
-        print(f"{name}: max rel. error {worst[name]:.3e}  [{status}]")
-    return 0 if ok else 1
+        print(f"{name}: max rel. error {worst[name]:.3e}  [{'ok' if passed[name] else 'FAIL'}]")
+    return 0 if all(passed.values()) else 1
 
 
 def _cmd_bench(args) -> int:
@@ -95,7 +93,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("check-jacobians", help="finite-difference Jacobian verification")
     p.add_argument("--states", type=_at_least(1), default=50)
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--threshold", type=float, default=1e-4)
     p.set_defaults(fn=_cmd_check_jacobians)
 
     p = sub.add_parser("bench", help="time the estimator hot paths")

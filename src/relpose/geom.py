@@ -7,6 +7,11 @@ Conventions, fixed once and asserted in tests:
 - Euler angles are Z-Y-X (yaw, pitch, roll), intrinsic:
   ``R = rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)``.
 - World frame is z-up.
+
+Each rotation operation has one kernel over rows, named in the plural
+(`quats_mul`, `quats_from_rotvecs`, `rotmats_from_quats`, ...); its singular
+helper is the one-row case. Norms are row-wise dot products (`dot_rows`),
+which equal `np.linalg.norm` of each row bit for bit.
 """
 
 from __future__ import annotations
@@ -22,27 +27,40 @@ class GimbalLock(ValueError):
     """Pitch too close to +/-90 deg for a Z-Y-X Euler factorization."""
 
 
-def quat_normalize(q) -> np.ndarray:
+def dot_rows(x, y) -> np.ndarray:
+    """Dot products (n,) of the rows of x and y (n, k) through matmul, as `x @ y`
+    or `np.linalg.norm` takes them for one row."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def quats_normalize(q) -> np.ndarray:
+    """Each row of q (n, 4) over its norm."""
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n == 0.0:
+    return q / np.sqrt(dot_rows(q, q))[:, None]
+
+
+def quat_normalize(q) -> np.ndarray:
+    """One row of `quats_normalize`; a zero quaternion raises ValueError."""
+    q = np.reshape(np.asarray(q, dtype=float), (1, -1))
+    if dot_rows(q, q)[0] == 0.0:
         raise ValueError("zero quaternion cannot be normalized")
-    return q / n
+    return quats_normalize(q)[0]
+
+
+def quats_mul(a, b) -> np.ndarray:
+    """Hamilton products a ⊗ b of the rows of a and b (n, 4), renormalized."""
+    aw, ax, ay, az = np.asarray(a, dtype=float).T
+    bw, bx, by, bz = np.asarray(b, dtype=float).T
+    w = aw * bw - ax * bx - ay * by - az * bz
+    x = aw * bx + ax * bw + ay * bz - az * by
+    y = aw * by - ax * bz + ay * bw + az * bx
+    z = aw * bz + ax * by - ay * bx + az * bw
+    return quats_normalize(np.stack((w, x, y, z), axis=-1))
 
 
 def quat_mul(a, b) -> np.ndarray:
-    """Hamilton product a ⊗ b, renormalized."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    q = np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
-    return quat_normalize(q)
+    """Hamilton product a ⊗ b, renormalized: one row of `quats_mul`."""
+    return quats_mul(np.reshape(a, (1, 4)), np.reshape(b, (1, 4)))[0]
 
 
 def quat_conj(q) -> np.ndarray:
@@ -50,16 +68,25 @@ def quat_conj(q) -> np.ndarray:
     return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
+def quats_from_rotvecs(theta) -> np.ndarray:
+    """Exponential map: rotation vectors theta (n, 3), radians, -> unit quaternions
+    (n, 4); a row below 1e-8 rad takes the first-order series, renormalized."""
+    theta = np.asarray(theta, dtype=float).reshape(-1, 3)
+    angle = np.sqrt(dot_rows(theta, theta))
+    q = np.empty((angle.size, 4))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        half = 0.5 * angle
+        q[:, 0] = np.cos(half)
+        q[:, 1:] = np.sin(half)[:, None] * (theta / angle[:, None])
+    small = angle < 1e-8
+    if small.any():
+        q[small] = quats_normalize(np.column_stack((np.ones(small.sum()), 0.5 * theta[small])))
+    return q
+
+
 def quat_from_rotvec(theta) -> np.ndarray:
-    """Exponential map: rotation vector (radians) -> unit quaternion."""
-    theta = np.asarray(theta, dtype=float)
-    angle = np.linalg.norm(theta)
-    if angle < 1e-8:
-        # first-order series; renormalize to keep the unit invariant
-        return quat_normalize(np.concatenate(([1.0], 0.5 * theta)))
-    axis = theta / angle
-    half = 0.5 * angle
-    return np.concatenate(([np.cos(half)], np.sin(half) * axis))
+    """Exponential map of one rotation vector: one row of `quats_from_rotvecs`."""
+    return quats_from_rotvecs(np.reshape(theta, (1, 3)))[0]
 
 
 def rotvec_from_quat(q) -> np.ndarray:
@@ -98,8 +125,8 @@ def quats_from_rotmats(R) -> np.ndarray:
     """Unit quaternions (n, 4), w >= 0, of the rotations R (n, 3, 3) by Shepperd's method.
 
     Each row takes the branch and the float operations of the method on that
-    matrix alone, and its norm as a per-row dot product, as `np.linalg.norm`
-    takes it for one quaternion. Non-finite matrices give non-finite rows.
+    matrix alone, and is normalized by `quats_normalize`. Non-finite matrices
+    give non-finite rows.
     """
     R = np.asarray(R, dtype=float).reshape(-1, 3, 3)
     tr = (R[:, 0, 0] + R[:, 1, 1]) + R[:, 2, 2]  # as np.trace sums it
@@ -132,7 +159,7 @@ def quats_from_rotmats(R) -> np.ndarray:
             for k, i, j, sign in others:
                 qm[:, k] = (Rm[:, i, j] + Rm[:, j, i] if sign > 0 else Rm[:, i, j] - Rm[:, j, i]) / s
             q[mask] = qm
-        q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+        q = quats_normalize(q)
     return np.where(q[:, :1] < 0, -q, q)
 
 
@@ -145,12 +172,19 @@ def skew(v) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def quats_from_euler_zyx(rpy) -> np.ndarray:
+    """R = Rz(yaw) Ry(pitch) Rx(roll) as quaternions, one per row (roll, pitch, yaw) of rpy (n, 3)."""
+    rpy = np.asarray(rpy, dtype=float).reshape(-1, 3)
+    # angle k on axis k and an exact +0.0 on the others: a -0.0 would flip sign bits of the result
+    theta = np.zeros((3, rpy.shape[0], 3))
+    theta[[0, 1, 2], :, [0, 1, 2]] = rpy.T
+    qx, qy, qz = quats_from_rotvecs(theta.reshape(-1, 3)).reshape(3, -1, 4)
+    return quats_mul(quats_mul(qz, qy), qx)
+
+
 def quat_from_euler_zyx(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    """Compose R = Rz(yaw) Ry(pitch) Rx(roll) as a quaternion."""
-    qz = quat_from_rotvec([0.0, 0.0, yaw])
-    qy = quat_from_rotvec([0.0, pitch, 0.0])
-    qx = quat_from_rotvec([roll, 0.0, 0.0])
-    return quat_mul(quat_mul(qz, qy), qx)
+    """One row of `quats_from_euler_zyx`."""
+    return quats_from_euler_zyx([[roll, pitch, yaw]])[0]
 
 
 def euler_zyx_from_rotmats(R) -> tuple[np.ndarray, np.ndarray]:

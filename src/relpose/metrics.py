@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import rotation_angle_deg
+from .geom import dot_rows, rotation_angle_deg
 
 
 @dataclass
@@ -28,11 +28,11 @@ class AlignedPair:
 def error_series(a: AlignedPair) -> np.ndarray:
     """Rows of (t, position error [m], rotation error [deg]), in one batched pass.
 
-    The norm is a per-row dot product through matmul, which equals
+    The norm is a row-wise dot product (`geom.dot_rows`), which equals
     ``np.linalg.norm`` of each row bit for bit.
     """
     d = a.est_p - a.gt_p
-    dp = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+    dp = np.sqrt(dot_rows(d, d))
     dr = rotation_angle_deg(a.gt_R.transpose(0, 2, 1) @ a.est_R)
     return np.column_stack((a.t, dp, dr))
 

@@ -15,22 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import GIMBAL_GUARD_DEG, quats_from_rotmats
+from .geom import GIMBAL_GUARD_DEG, dot_rows, quats_from_rotmats
 
 VERTICAL_XY_THRESHOLD = 0.01  # reject sight lines within ~0.6 deg of vertical
 
 # why a row has no solution; ACCEPTED rows carry one
 ACCEPTED, VERTICAL, GIMBAL_LOCK, NON_FINITE = range(4)
-
-
-@dataclass
-class RawPoseMeasurement:
-    """Measurement vector for the filter: positions both ways + rotation."""
-
-    p_ba: np.ndarray  # position of A in B's frame, meters
-    p_ab: np.ndarray  # position of B in A's frame, meters
-    q_ba: np.ndarray  # unit quaternion of A's frame in B's frame
-    t: float = 0.0
 
 
 @dataclass
@@ -69,7 +59,7 @@ def _gravity_align(Ry: np.ndarray, Rx: np.ndarray, bearing: np.ndarray) -> np.nd
     """Body-frame bearings (n, 3) in the gravity-aligned frame, Ry(pitch) Rx(roll) v,
     renormalized. The aligned frame shares the body yaw, with z opposite gravity."""
     v = ((Ry @ Rx) @ bearing[:, :, None])[:, :, 0]
-    return v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+    return v / np.sqrt(dot_rows(v, v))[:, None]
 
 
 def raw_estimate(b_ba, b_ab, range_m, rp_a, rp_b) -> RawSolve:

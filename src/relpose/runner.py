@@ -297,11 +297,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             if row < 0:
                 continue
             if measured[row]:
+                fresh = [n for n, _ in measured[row] if bank.x[n] is None]  # this update starts them
                 fix = eskf.update(bank, measured[row])
                 eskf.inject_and_reset(bank, fix)
-                for n, _ in measured[row]:
-                    if n not in fix.singular:  # a singular update keeps the prior
-                        last_meas_t[n] = t
+                for n in fix.rows + fresh:  # gated and singular updates keep the prior
+                    last_meas_t[n] = t
             cam_t.append(t)
             xs.append([_UNSTARTED if x is None else x for x in bank.x])
             Ps.append(np.diagonal(bank.P, axis1=1, axis2=2).copy())

@@ -7,7 +7,8 @@ Position kinds: static, circle, lissajous, waypoints (C2 cubic spline).
 Attitude follows a sinusoid-per-axis Euler profile plus a linear yaw ramp,
 which covers level flight, spinning, and aggressive roll/pitch sweeps. The
 body angular rate comes from the exact Z-Y-X Euler-rate kinematics, so gyro
-synthesis is consistent with the attitude to machine precision.
+synthesis is consistent with the attitude to machine precision. The attitude
+quaternions are `geom.quats_from_euler_zyx` of the Euler angles.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .geom import quats_from_euler_zyx
 
 
 class OutOfDomain(ValueError):
@@ -97,56 +100,6 @@ class TrajectoryState:
         return TrajectoryState(self.p[k], self.v[k], self.a[k], self.q[k], self.w_body[k])
 
 
-# The row-wise helpers below repeat, element by element, the floating-point
-# operations of the scalar geometry (quat_from_rotvec, quat_mul and
-# quat_normalize in geom): every norm is a per-row dot product through
-# matmul, so one row of the arrays equals the scalar result bit for bit.
-
-
-def _normalize_rows(q: np.ndarray) -> np.ndarray:
-    return q / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
-
-
-def _axis_quats(angle: np.ndarray, axis: int) -> np.ndarray:
-    """Rotations by `angle` about one coordinate axis: (cos(|a|/2), sin(|a|/2) sign(a))."""
-    mag = np.abs(angle)
-    s = np.sin(0.5 * mag)
-    q = np.empty((angle.size, 4))
-    q[:, 0] = np.cos(0.5 * mag)
-    q[:, 1:] = (s * 0.0)[:, None]  # sin times the zero components of the unit axis
-    q[:, 1 + axis] = s * np.sign(angle)
-    small = mag < 1e-8
-    if small.any():  # first-order series, renormalized
-        lin = np.zeros((int(small.sum()), 4))
-        lin[:, 0] = 1.0
-        lin[:, 1 + axis] = 0.5 * angle[small]
-        q[small] = _normalize_rows(lin)
-    return q
-
-
-def _quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a.T
-    bw, bx, by, bz = b.T
-    q = np.stack(
-        (
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ),
-        axis=1,
-    )
-    return _normalize_rows(q)
-
-
-def _quats_from_euler_zyx(rpy: np.ndarray) -> np.ndarray:
-    """R = Rz(yaw) Ry(pitch) Rx(roll) as quaternions, one per row of rpy."""
-    qz = _axis_quats(rpy[:, 2], 2)
-    qy = _axis_quats(rpy[:, 1], 1)
-    qx = _axis_quats(rpy[:, 0], 0)
-    return _quat_mul_rows(_quat_mul_rows(qz, qy), qx)
-
-
 def _euler_rates_to_body(rpy: np.ndarray, rpy_dot: np.ndarray) -> np.ndarray:
     """Z-Y-X Euler-angle rates -> body angular velocity, row by row."""
     roll, pitch = rpy[:, 0], rpy[:, 1]
@@ -192,7 +145,7 @@ def eval_trajectory_array(spec: TrajectorySpec, t) -> TrajectoryState:
         v = spec._spline(t, 1)
         a = spec._spline(t, 2)
     rpy = spec.attitude.angles(t)
-    q = _quats_from_euler_zyx(rpy)
+    q = quats_from_euler_zyx(rpy)
     w_body = _euler_rates_to_body(rpy, spec.attitude.rates(t))
     return TrajectoryState(p, v, a, q, w_body)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .camera import DEFAULT_INTRINSICS, DsIntrinsics, ds_project_array
 from .codec import IdLibrary, lit_at
-from .geom import euler_zyx_from_rotmats, rotmats_from_quats
+from .geom import dot_rows, euler_zyx_from_rotmats, rotmats_from_quats
 # nothing here calls eval_trajectory; relbench/tracer.py wraps it under this module's name
 from .trajectory import TrajectorySpec, TrajectoryState, eval_trajectory, eval_trajectory_array  # noqa: F401
 
@@ -97,9 +97,9 @@ class Obstacle:
         # vertical cylinder: quadratic in the xy plane, then z clip
         r, hz = self.extents[0], self.extents[2]
         axy, dxy = a[:, :2] - c[:2], d[:, :2]
-        A = _dot_rows(dxy, dxy)
-        B = 2.0 * _dot_rows(axy, dxy)
-        C = _dot_rows(axy, axy) - r * r
+        A = dot_rows(dxy, dxy)
+        B = 2.0 * dot_rows(axy, dxy)
+        C = dot_rows(axy, axy) - r * r
         disc = B * B - 4 * A * C
         sq = np.sqrt(disc)
         vertical = A < 1e-15  # no xy motion: the whole segment is inside the circle or outside
@@ -112,11 +112,6 @@ class Obstacle:
         z1 = a[:, 2] + hi * d[:, 2] - c[2]
         span = (z0 * z1 < 0) & (np.minimum(np.abs(z0), np.abs(z1)) <= hz + np.abs(z1 - z0))
         return meets_circle & ((np.abs(z0) <= hz) | (np.abs(z1) <= hz) | span)
-
-
-def _dot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products through matmul, as `x @ y` or `np.linalg.norm` takes one row."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def _relative_truth(obs: TrajectoryState, tgt: TrajectoryState) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +294,7 @@ class World:
         p = p_all[i]
         d = np.empty((p.shape[0], len(p_all)))
         for j, q in enumerate(p_all):
-            d[:, j] = np.sqrt(_dot_rows(p - q, p - q))
+            d[:, j] = np.sqrt(dot_rows(p - q, p - q))
         ok = ~(d > UWB_MAX_RANGE)
         ok[:, i] = False
         if self.noise.uwb_sigma > 0:

@@ -12,10 +12,10 @@ the runner did before it stacked a chunk's graphs (`pgo.initial_stack`), and
 that `pgo` takes for a stack of poses.
 
 The reference filter works on one pair's `NominalState` (arrays p, v, q),
-`ErrorBelief` and `ImuPairInput`. The filter bank keeps a pair's state as 10
-floats and each robot's IMU row as 6: `floats`, `bank_of_one`, `state_of`,
-`imu_rows` and `z_floats` move a pair, its inputs and its measurements
-between the two forms.
+`ErrorBelief`, `ImuPairInput` and `RawPoseMeasurement`. The filter bank
+keeps a pair's state as 10 floats and each robot's IMU row as 6: `floats`,
+`bank_of_one`, `state_of`, `imu_rows` and `z_floats` move a pair, its inputs
+and its measurements between the two forms.
 """
 
 from dataclasses import dataclass, field
@@ -62,6 +62,16 @@ class ImuPairInput:
     a_mb: np.ndarray
     w_mb: np.ndarray
     dt: float
+
+
+@dataclass
+class RawPoseMeasurement:
+    """Measurement vector for the filter: positions both ways + rotation."""
+
+    p_ba: np.ndarray  # position of A in B's frame, meters
+    p_ab: np.ndarray  # position of B in A's frame, meters
+    q_ba: np.ndarray  # unit quaternion of A's frame in B's frame
+    t: float = 0.0
 
 
 @dataclass

@@ -16,7 +16,8 @@ import numpy as np
 
 from relpose.camera import DsIntrinsics
 from relpose.geom import quat_normalize
-from relpose.rawpose import VERTICAL_XY_THRESHOLD, RawPoseMeasurement
+from relpose.rawpose import VERTICAL_XY_THRESHOLD
+from estimator_reference import RawPoseMeasurement
 
 
 def rot_x(a: float) -> np.ndarray:

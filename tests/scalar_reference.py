@@ -4,13 +4,56 @@
 one time at a time, and `compute_metrics_per_sample` is the metrics block as
 it was written around it: ground truth re-evaluated per recorded sample, and
 one error row per sample from `np.linalg.norm` and `np.trace`.
+`quat_normalize`, `quat_mul`, `quat_from_rotvec` and `quat_from_euler_zyx`
+are the one-quaternion helpers as `geom` first wrote them, which its
+row-wise kernels must equal.
 """
 
 import numpy as np
 
-from relpose.geom import quat_from_euler_zyx, rotmat_from_quat, rotmats_from_quats
+from relpose.geom import rotmat_from_quat, rotmats_from_quats
 from relpose.metrics import boxplot_stats
 from relpose.trajectory import OutOfDomain, TrajectoryState
+
+
+def quat_normalize(q):
+    q = np.asarray(q, dtype=float)
+    n = np.linalg.norm(q)
+    if n == 0.0:
+        raise ValueError("zero quaternion cannot be normalized")
+    return q / n
+
+
+def quat_mul(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    q = np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+    return quat_normalize(q)
+
+
+def quat_from_rotvec(theta):
+    theta = np.asarray(theta, dtype=float)
+    angle = np.linalg.norm(theta)
+    if angle < 1e-8:
+        # first-order series; renormalize to keep the unit invariant
+        return quat_normalize(np.concatenate(([1.0], 0.5 * theta)))
+    axis = theta / angle
+    half = 0.5 * angle
+    return np.concatenate(([np.cos(half)], np.sin(half) * axis))
+
+
+def quat_from_euler_zyx(roll, pitch, yaw):
+    qz = quat_from_rotvec([0.0, 0.0, yaw])
+    qy = quat_from_rotvec([0.0, pitch, 0.0])
+    qx = quat_from_rotvec([roll, 0.0, 0.0])
+    return quat_mul(quat_mul(qz, qy), qx)
 
 
 def _angles(att, t):

@@ -19,6 +19,7 @@ from estimator_reference import (
     ErrorBelief,
     ImuPairInput,
     NominalState,
+    RawPoseMeasurement,
     bank_of_one,
     floats,
     imu_rows,
@@ -37,7 +38,6 @@ from relpose.geom import (
     rotmat_from_quat,
     rotvec_from_quat,
 )
-from relpose.rawpose import RawPoseMeasurement
 from quat_helpers import quat_angle_between
 
 RNG = np.random.default_rng(555)
@@ -295,6 +295,34 @@ def test_Fx_linearizes_the_step_predict_takes():
             moved = step(true_state(state, ErrorBelief(d, None)), rows, dt)
             x1 = step(state, rows, dt)
             linear = true_state(x1, ErrorBelief(compute_Fx(floats(state), *rows, dt) @ d, None))
+            rot = rotvec_from_quat(quat_mul(quat_conj(moved.q), linear.q))
+            mismatch.append(np.linalg.norm([*(moved.p - linear.p), *(moved.v - linear.v), *rot]) / 1e-4)
+        ratios = np.array(mismatch[:-1]) / mismatch[1:]
+        assert np.all((ratios > 3.5) & (ratios < 4.5)), (mismatch, ratios)
+
+
+def test_Fi_linearizes_the_step_predict_takes():
+    # predict on IMU rows less a noise n = [a_nA, w_nA, a_nB, w_nB] against
+    # predict(x) (+) Fi n: as for Fx, the truncation falls as dt^2 and a
+    # wrong block of Fi would leave an O(dt) mismatch
+    rng = np.random.default_rng(19)
+
+    def step(state, rows, dt):
+        bank = bank_of_one(state, INIT_P)
+        predict(bank, rows, dt)
+        return state_of(bank)
+
+    for _ in range(3):
+        state = random_state(rng)
+        rows = imu_rows(random_input(rng))
+        n = rng.normal(size=12)
+        n *= 1e-4 / np.linalg.norm(n)
+        noisy = [list(np.subtract(rows[0], n[:6])), list(np.subtract(rows[1], n[6:]))]
+        mismatch = []
+        for dt in (0.02, 0.01, 0.005, 0.0025):
+            moved = step(state, noisy, dt)
+            x1 = step(state, rows, dt)
+            linear = true_state(x1, ErrorBelief(compute_Fi(floats(state)[6:], rows[1], dt) @ n, None))
             rot = rotvec_from_quat(quat_mul(quat_conj(moved.q), linear.q))
             mismatch.append(np.linalg.norm([*(moved.p - linear.p), *(moved.v - linear.v), *rot]) / 1e-4)
         ratios = np.array(mismatch[:-1]) / mismatch[1:]

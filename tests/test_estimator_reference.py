@@ -11,7 +11,6 @@ import pytest
 import estimator_reference as ref
 from relpose import eskf, pgo
 from relpose.geom import Pose, quat_normalize, rotmat_from_quat
-from relpose.rawpose import RawPoseMeasurement
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 
@@ -37,7 +36,7 @@ def _random_step(rng, k):
     p_ab = -rotmat_from_quat(state.q).T @ state.p
     if k % 10 == 9:
         p_ab = p_ab + 10.0  # far outside the chi-square gate
-    z = RawPoseMeasurement(
+    z = ref.RawPoseMeasurement(
         p_ba=state.p + rng.normal(0, 0.1, 3),
         p_ab=p_ab + rng.normal(0, 0.1, 3),
         q_ba=quat_normalize(state.q + rng.normal(0, 0.05, 4)),
@@ -90,7 +89,7 @@ def test_gated_measurement_returns_input_belief():
     rng = np.random.default_rng(8)
     state, _, _, _ = _random_step(rng, 0)
     belief = ref.ErrorBelief(np.zeros(12), np.eye(12) * 1e-6)
-    z = RawPoseMeasurement(state.p + 10.0, rng.normal(0, 3.0, 3), state.q)
+    z = ref.RawPoseMeasurement(state.p + 10.0, rng.normal(0, 3.0, 3), state.q)
     assert ref.update(state, belief, z) is belief
     bank = ref.bank_of_one(state, belief.P)
     x = bank.x[0]
@@ -105,7 +104,7 @@ def test_singular_innovation_as_reference():
     state = ref.NominalState(p=np.zeros(3), v=np.zeros(3), q=np.array([1.0, 0, 0, 0]))
     P = np.zeros((12, 12))
     P[6:9, 6:9] = -(eskf.ROT_SIGMA**2) * np.eye(3)
-    z = RawPoseMeasurement(np.zeros(3), np.zeros(3), state.q.copy())
+    z = ref.RawPoseMeasurement(np.zeros(3), np.zeros(3), state.q.copy())
     with pytest.raises(ref.SingularInnovation):
         ref.update(state, ref.ErrorBelief(np.zeros(12), P), z)
     fix = eskf.update(ref.bank_of_one(state, P), [(0, ref.z_floats(z))])

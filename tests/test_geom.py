@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+import scalar_reference as ref
 from relpose.geom import (
     GimbalLock,
     Pose,
+    dot_rows,
     euler_zyx_from_quat,
     quat_conj,
     quat_from_euler_zyx,
     quat_from_rotvec,
     quat_mul,
     quat_normalize,
+    quats_from_euler_zyx,
     quats_from_rotmats,
+    quats_from_rotvecs,
+    quats_mul,
+    quats_normalize,
     rotation_angle_deg,
     rotmat_from_quat,
     rotmat_from_rotvec,
@@ -240,3 +246,45 @@ def test_rotation_angle_deg():
 def test_quat_normalize_rejects_zero():
     with pytest.raises(ValueError):
         quat_normalize([0.0, 0.0, 0.0, 0.0])
+
+
+def _angles(rng, n):
+    """Angles in +/-40 rad, with rows inside the first-order branch, exact
+    zeros of either sign, and angles within one turn."""
+    a = rng.uniform(-40.0, 40.0, n)
+    kind = rng.integers(0, 4, n)
+    a[kind == 0] = rng.uniform(-1e-8, 1e-8, int((kind == 0).sum()))
+    a[kind == 1] = rng.choice([0.0, -0.0], int((kind == 1).sum()))
+    a[kind == 2] = rng.uniform(-np.pi, np.pi, int((kind == 2).sum()))
+    return a
+
+
+def _bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_row_kernels_equal_one_quaternion_references():
+    # each row of an array kernel, and each one-row helper, equals the
+    # one-quaternion code as first written, values and sign bits
+    rng = np.random.default_rng(22)
+    n = 2000
+    q = rng.normal(size=(n, 4)) * rng.choice([1e-3, 1.0, 1e3], (n, 1))
+    assert np.array_equal(np.sqrt(dot_rows(q, q)), [np.linalg.norm(x) for x in q])
+    for got, x in zip(quats_normalize(q), q):
+        assert _bitwise(got, ref.quat_normalize(x)) and _bitwise(quat_normalize(x), got)
+
+    a, b = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
+    for got, x, y in zip(quats_mul(a, b), a, b):
+        assert _bitwise(got, ref.quat_mul(x, y)) and _bitwise(quat_mul(x, y), got)
+
+    theta = rng.normal(size=(n, 3)) * _angles(rng, n)[:, None]
+    theta[:50] = rng.choice([0.0, -0.0], (50, 3))
+    theta[50:150] = 0.0
+    theta[50:150, rng.integers(0, 3)] = _angles(rng, 100)  # one-hot, +0.0 off the axis
+    for got, x in zip(quats_from_rotvecs(theta), theta):
+        assert _bitwise(got, ref.quat_from_rotvec(x)) and _bitwise(quat_from_rotvec(x), got), x
+
+    rpy = np.column_stack([_angles(rng, n) for _ in range(3)])
+    for got, x in zip(quats_from_euler_zyx(rpy), rpy):
+        assert _bitwise(got, ref.quat_from_euler_zyx(*x)) and _bitwise(quat_from_euler_zyx(*x), got), x

@@ -372,6 +372,25 @@ def test_singular_innovation_skips_one_update(monkeypatch):
     assert max(ser.t) > ser.t[k] + 0.5  # the run went on past the bad tick
 
 
+def test_gated_updates_leave_pose_graph_edges_stale(monkeypatch):
+    # a gate that rejects every update: each filter accepts nothing after its
+    # first measurement, so its edge leaves the pose graph 0.25 s later
+    update, accepted = relpose.eskf.update, []
+
+    def gated(bank, measured):
+        fix = update(bank, measured)
+        accepted.extend(fix.rows)
+        return fix
+
+    monkeypatch.setattr(relpose.eskf, "CHI2_9_999", 0.0)
+    monkeypatch.setattr(relpose.eskf, "update", gated)
+    cfg = config_from_dict(json.loads((SCENARIOS / "four_robot_pgo.json").read_text()))
+    cfg.duration = 3.0
+    res = run_scenario(cfg)
+    assert accepted == [] and all(ser.t[0] == 0.0 and ser.t[-1] == 3.0 for ser in res.eskf.values())
+    assert all(len(ser.t) > 0 and ser.t.max() <= 0.25 for ser in res.pgo.values())
+
+
 def _predicted(bank_predict, log):
     """bank_predict, logging (pair, A's row, B's row) of each pair it steps:
     the pairs whose state it replaces."""
