@@ -24,6 +24,7 @@ from .geom import (
 )
 from .pgo import initial_stack, solve
 from .rawpose import raw_estimate
+from .world import GRAVITY, NoiseParams
 
 RAW_ROWS = 50
 
@@ -48,7 +49,7 @@ def _at_rest(q, p, pairs) -> tuple[list, list]:
     predicts the relative poses of robots at rest exactly, so the gate passes
     every measurement of every step."""
     R = [rotmat_from_quat(x) for x in q]
-    imu = [[*(Ri.T @ [0.0, 0.0, 9.81]).tolist(), 0.0, 0.0, 0.0] for Ri in R]
+    imu = [[*(Ri.T @ -GRAVITY).tolist(), 0.0, 0.0, 0.0] for Ri in R]
     measured = []
     for n, (a, b) in enumerate(pairs):
         d = np.subtract(p[a], p[b])
@@ -72,11 +73,11 @@ def bench(reps: int = 1000, seed: int = 0) -> dict[str, dict[str, float]]:
     # B level at the origin, A 3.2 m away yawed 0.3 rad, both at rest
     q = [[1.0, 0.0, 0.0, 0.0], quat_from_rotvec([0.0, 0.0, 0.3])]
     imu, measured = _at_rest(q, [[0.0] * 3, [3.0, 1.0, 0.2]], [(1, 0)])
-    one = FilterBank([(1, 0)])
+    one = FilterBank([(1, 0)], NoiseParams(), 0.01)
     update(one, measured)  # starts the filter
 
     def eskf_cycle():
-        predict(one, imu, 0.01)
+        predict(one, imu)
         inject_and_reset(one, update(one, measured))
 
     out["eskf_cycle"] = _timeit(eskf_cycle, reps)
@@ -106,11 +107,11 @@ def bench(reps: int = 1000, seed: int = 0) -> dict[str, dict[str, float]]:
     pairs = [(a, b) for b in range(5) for a in range(b + 1, 5)]
     q = [quat_from_rotvec(rng.normal(0.0, 0.3, 3)) for _ in range(5)]
     imu, measured = _at_rest(q, rng.normal(0.0, 3.0, (5, 3)), pairs)
-    bank = FilterBank(pairs)
+    bank = FilterBank(pairs, NoiseParams(), 0.01)
     update(bank, measured)  # starts every filter
 
     def eskf_bank10():
-        predict(bank, imu, 0.01)
+        predict(bank, imu)
         inject_and_reset(bank, update(bank, measured))
 
     out["eskf_bank10"] = _timeit(eskf_bank10, reps)

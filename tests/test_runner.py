@@ -395,9 +395,9 @@ def _predicted(bank_predict, log):
     """bank_predict, logging (pair, A's row, B's row) of each pair it steps:
     the pairs whose state it replaces."""
 
-    def recorded(bank, rows, dt):
+    def recorded(bank, rows):
         before = list(bank.x)
-        bank_predict(bank, rows, dt)
+        bank_predict(bank, rows)
         for n, (a, b) in enumerate(bank.pairs):
             if bank.x[n] is not before[n]:
                 log.append((n, rows[a], rows[b]))
